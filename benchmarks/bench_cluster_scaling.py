@@ -55,13 +55,6 @@ N_REQUESTS = 16           #: requests per timed round
 MAX_BATCH = 8             #: chunk size — also the request-size spread
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _serve_config(replicas: int):
     from repro.serve.config import ServeConfig
 
@@ -102,10 +95,11 @@ def run(check: bool = False, repeats: int = 3) -> int:
     from repro.cluster import ClusterPool
     from repro.obs import trace
     from repro.serve.session import ModelSession
+    from repro.utils.host import usable_cores
     from repro.utils.report import ascii_table
 
     trace.disable()
-    cores = _usable_cores()
+    cores = usable_cores()
     rng = np.random.default_rng(0x0D9)
 
     # One reference session in this process: request set + exactness

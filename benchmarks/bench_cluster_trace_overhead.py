@@ -59,13 +59,6 @@ N_REQUESTS = 16           #: requests per timed round
 MAX_BATCH = 8             #: chunk size — also the request-size spread
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _serve_config():
     from repro.serve.config import ServeConfig
 
@@ -122,9 +115,10 @@ def run(check: bool = False, repeats: int = 3) -> int:
     from repro.obs.drift import DriftMonitor
     from repro.serve.session import ModelSession
     from repro.serve.metrics import MetricsRegistry
+    from repro.utils.host import usable_cores
     from repro.utils.report import ascii_table
 
-    cores = _usable_cores()
+    cores = usable_cores()
     rng = np.random.default_rng(0x70D)
     config = _serve_config()
 

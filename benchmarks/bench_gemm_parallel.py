@@ -59,13 +59,6 @@ CASES = (
 )
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _build_operands(rng: np.random.Generator):
     return [
         (name, rng.standard_normal((m, k)), rng.standard_normal((k, n)))
@@ -76,12 +69,13 @@ def _build_operands(rng: np.random.Generator):
 def run(check: bool = False, repeats: int = 5) -> int:
     from repro.core import gemm
     from repro.obs import trace
+    from repro.utils.host import usable_cores
     from repro.utils.report import ascii_table
 
     trace.disable()
     rng = np.random.default_rng(0x5EED)
     operands = _build_operands(rng)
-    cores = _usable_cores()
+    cores = usable_cores()
 
     # Auto-tune once (verifies the block floor), then drop the FLOP
     # crossover so every case takes the pooled path at width > 1; the

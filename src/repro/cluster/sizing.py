@@ -28,7 +28,7 @@ load).  Only *placement* is load-dependent.
 
 from __future__ import annotations
 
-import os
+from repro.utils.host import usable_cores
 
 #: Relative cost of the always-paid prediction phase (INT2 partials over
 #: every output) per image, in units of "full-result rows per output".
@@ -41,14 +41,6 @@ PREDICT_COST = 0.25
 #: session builds and shared-memory arenas cost more than the extra
 #: processes return on the GEMM sizes this repo serves.
 MAX_DEFAULT_REPLICAS = 8
-
-
-def usable_cores() -> int:
-    """Cores this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def recommended_replicas(cores: int | None = None) -> int:

@@ -25,34 +25,25 @@ float32/float64 operands, so the blocks genuinely run in parallel.
 * **No small-GEMM regression.**  GEMMs below the auto-tuned FLOP
   crossover (dispatch overhead vs measured GEMM throughput) take the
   direct ``a @ b`` path, so LeNet-scale layers never pay pool latency.
-* **Column blocking for fc-style shapes.**  Wide-``n``/short-``m``
-  GEMMs (a small batch hitting a fat fully-connected weight) cannot be
-  row-blocked — there are fewer rows than threads — so they are split
-  along ``b``'s *columns* instead.  Column blocking is just as
-  re-association-free as row blocking (output column ``j`` is the same
-  ``a @ b[:, j]`` whichever block computes it) and carries its own
-  empirically *verified* per-block floor
-  (:attr:`GemmTuning.min_block_mnk_cols`), established exactly like the
-  row floor: doubling until column-slice GEMMs reproduce the monolithic
-  result bit-for-bit.
-
-For compiled inference plans (:mod:`repro.core.plan`) two further
-entry points avoid per-call re-decision: :func:`plan_gemm` freezes the
-direct/rows/cols choice *and* the block bounds for a shape-known GEMM
-into a reusable :class:`GemmDispatch`, and :class:`DispatchGroup`
-snapshots the pool width / tuning / pool handle once so a run of
-back-to-back GEMMs (consecutive sparse-path layers) pays one dispatch
-setup instead of N.  Both produce bit-identical results to
-:func:`pgemm` — they reuse the same block maths and verified floors.
+* **One routing decision.**  :func:`route` is the only place that
+  decides ``direct`` vs ``rows`` and the block bounds.  It reads the
+  live pool width and tuning on every call, so a later
+  :func:`configure` takes effect at once for every entry point.
 * **Lazy + fork-safe.**  The pool starts on first parallel-eligible
   call; after ``fork`` the worker threads of the parent are gone, so the
   pool detects the PID change and rebuilds itself.
 
+Compiled inference plans (:mod:`repro.core.plan`) bind a GEMM shape
+with :func:`plan_gemm` (a :class:`GemmDispatch` that records the route
+at compile time for ``repro plan``) and share a :class:`DispatchGroup`
+across consecutive sparse-path layers.  Both route every call through
+:func:`route`, exactly like :func:`pgemm`.
+
 Configuration
 -------------
 ``REPRO_GEMM_THREADS``
-    Pool width.  Default ``min(cpu, 8)``; ``1`` disables the pool
-    entirely (exact pre-existing behaviour).  :func:`configure` takes
+    Pool width, read on first use.  Default ``min(usable cores, 8)``;
+    ``1`` disables the pool entirely.  :func:`configure` takes
     precedence over the environment (the serve CLI wires
     ``--gemm-threads`` through it).
 ``REPRO_GEMM_MIN_FLOPS`` / ``REPRO_GEMM_MIN_BLOCK_MNK``
@@ -72,10 +63,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.obs import trace
+from repro.utils.host import usable_cores
 
 #: Hard cap on the default pool width (past ~8 threads the row blocks of
 #: conv-sized GEMMs drop under the exactness floor anyway).
@@ -90,13 +83,6 @@ MIN_BLOCK_MNK_FLOOR = 4 * (1 << 20)
 #: Ceiling for the verification doubling; if exactness cannot be
 #: established below this, the pool refuses to parallelize.
 MIN_BLOCK_MNK_CEIL = 64 * (1 << 20)
-
-#: Starting per-block floor for *column* blocking.  Column slices keep
-#: ``m`` and the accumulation length ``k`` unchanged, so the BLAS stays
-#: in the same kernel regime as the monolithic call at much smaller
-#: block sizes than row slices do; the floor is still verified (and
-#: doubled if needed) before the column path is ever used.
-MIN_BLOCK_MNK_COLS_FLOOR = 1 << 18
 
 #: The parallel path must amortize pool dispatch: require the estimated
 #: serial GEMM time to exceed this multiple of the measured round-trip
@@ -122,24 +108,19 @@ class GemmTuning:
     min_flops: float      #: parallel crossover in FLOPs (2*m*n*k)
     min_block_mnk: int    #: per-block m*n*k floor (BLAS kernel-regime guard)
     verified: bool = True  #: block floor empirically confirmed bit-exact
-    #: per-block m*n*k floor for column blocking (own verification)
-    min_block_mnk_cols: int = MIN_BLOCK_MNK_COLS_FLOOR
-    verified_cols: bool = True  #: column floor empirically confirmed bit-exact
 
 
 @dataclass
 class GemmStats:
     """Advisory process-wide counters (exact under single-threaded use)."""
 
-    calls: int = 0          #: total pgemm() invocations
+    calls: int = 0          #: total GEMMs issued through this module
     direct_calls: int = 0   #: served by the direct ``a @ b`` path
     pooled_calls: int = 0   #: served by the row-blocked pool path
     pooled_blocks: int = 0  #: row blocks dispatched in total
     pooled_rows: int = 0    #: output rows computed via the pool
     pooled_flops: int = 0   #: FLOPs routed through the pool
-    col_calls: int = 0      #: served by the column-blocked pool path
-    col_blocks: int = 0     #: column blocks dispatched in total
-    planned_calls: int = 0  #: served through a frozen GemmDispatch
+    planned_calls: int = 0  #: issued through a plan's GemmDispatch
 
     def as_dict(self) -> dict:
         return {
@@ -149,14 +130,13 @@ class GemmStats:
             "pooled_blocks": self.pooled_blocks,
             "pooled_rows": self.pooled_rows,
             "pooled_flops": self.pooled_flops,
-            "col_calls": self.col_calls,
-            "col_blocks": self.col_blocks,
             "planned_calls": self.planned_calls,
         }
 
 
 _state_lock = threading.Lock()
 _configured_threads: int | None = None
+_default_width: int | None = None  #: default_threads(), resolved on first use
 _tuning: GemmTuning | None = None
 _pool: ThreadPoolExecutor | None = None
 _pool_threads: int = 0
@@ -165,7 +145,7 @@ _stats = GemmStats()
 
 
 def default_threads() -> int:
-    """Pool width from ``REPRO_GEMM_THREADS`` or ``min(cpu, 8)``."""
+    """Pool width from ``REPRO_GEMM_THREADS`` or ``min(usable cores, 8)``."""
     env = os.environ.get("REPRO_GEMM_THREADS", "").strip()
     if env:
         try:
@@ -175,33 +155,40 @@ def default_threads() -> int:
                 f"REPRO_GEMM_THREADS must be an integer, got {env!r}"
             ) from exc
         return max(1, value)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, DEFAULT_MAX_THREADS))
+    return max(1, min(usable_cores(), DEFAULT_MAX_THREADS))
 
 
 def gemm_threads() -> int:
-    """The effective pool width (explicit :func:`configure` wins)."""
+    """The effective pool width.
+
+    An explicit :func:`configure` wins; otherwise :func:`default_threads`,
+    resolved once per process (every GEMM routes through here, and the
+    affinity lookup is a syscall) and re-read after :func:`reset`.
+    """
+    global _default_width
     with _state_lock:
         if _configured_threads is not None:
             return _configured_threads
-    return default_threads()
+        if _default_width is not None:
+            return _default_width
+    width = default_threads()
+    with _state_lock:
+        _default_width = width
+    return width
 
 
 def configure(
     threads: int | None = None,
     min_flops: float | None = None,
     min_block_mnk: int | None = None,
-    min_block_mnk_cols: int | None = None,
 ) -> None:
     """Override pool width and/or dispatch tuning for this process.
 
     ``threads=None`` leaves the width as-is; pass an explicit value to
     pin it (``1`` disables the pool).  Tuning overrides replace the
-    auto-tuned values; ``None`` keeps them.  The running pool is rebuilt
-    lazily on the next :func:`pgemm` call if the width changed.
+    auto-tuned values; ``None`` keeps them.  Every later GEMM — direct
+    or through a plan — routes with the new values; the running pool is
+    rebuilt lazily on the next pooled call if the width changed.
     """
     global _configured_threads, _tuning
     with _state_lock:
@@ -209,11 +196,7 @@ def configure(
             if threads < 1:
                 raise ValueError("gemm threads must be >= 1")
             _configured_threads = int(threads)
-        if (
-            min_flops is not None
-            or min_block_mnk is not None
-            or min_block_mnk_cols is not None
-        ):
+        if min_flops is not None or min_block_mnk is not None:
             base = _tuning or GemmTuning(MIN_FLOPS_FLOOR, MIN_BLOCK_MNK_FLOOR)
             _tuning = GemmTuning(
                 min_flops=float(min_flops) if min_flops is not None else base.min_flops,
@@ -222,11 +205,6 @@ def configure(
                     else base.min_block_mnk
                 ),
                 verified=base.verified,
-                min_block_mnk_cols=(
-                    int(min_block_mnk_cols) if min_block_mnk_cols is not None
-                    else base.min_block_mnk_cols
-                ),
-                verified_cols=base.verified_cols,
             )
 
 
@@ -241,11 +219,12 @@ def shutdown(wait: bool = True) -> None:
 
 def reset(threads: bool = True) -> None:
     """Forget configuration, tuning and stats (test isolation helper)."""
-    global _configured_threads, _tuning, _stats
+    global _configured_threads, _default_width, _tuning, _stats
     shutdown()
     with _state_lock:
         if threads:
             _configured_threads = None
+        _default_width = None
         _tuning = None
         _stats = GemmStats()
 
@@ -325,39 +304,10 @@ def _block_floor_is_exact(min_block_mnk: int) -> bool:
     return True
 
 
-def _col_floor_is_exact(min_block_mnk_cols: int) -> bool:
-    """Empirically confirm column-slice GEMMs match the full GEMM.
-
-    Mirrors :func:`_block_floor_is_exact` for the column-blocked path:
-    probes the fc-style shapes that path serves (short ``m``, long
-    accumulation ``k``, wide ``n``), in both float64 and float32, with
-    both plain and transposed-``b`` layouts (``F.linear`` hands pgemm
-    the transposed weight view).  A column slice ``a @ b[:, j0:j1]``
-    must equal the matching slice of the monolithic product
-    bit-for-bit at the candidate floor.
-    """
-    rng = np.random.default_rng(0xC0FFEE)
-    shapes = ((8, 1152), (16, 576), (1, 800))
-    for dtype in (np.float64, np.float32):
-        for m, k in shapes:
-            bw = max(1, -(-min_block_mnk_cols // (m * k)))  # cols per block
-            n = 3 * bw + 7
-            a = rng.standard_normal((m, k)).astype(dtype)
-            b = rng.standard_normal((k, n)).astype(dtype)
-            for bv in (b, np.ascontiguousarray(b.T).T):      # plain, transposed B
-                full = a @ bv
-                for start in (0, bw, 2 * bw):
-                    stop = min(n, start + bw)
-                    if not np.array_equal(a @ bv[:, start:stop], full[:, start:stop]):
-                        return False
-    return True
-
-
 def _autotune(pool: ThreadPoolExecutor, threads: int) -> GemmTuning:
     """Measure the crossover + verify the block floor, once per process."""
     env_flops = os.environ.get("REPRO_GEMM_MIN_FLOPS", "").strip()
     env_block = os.environ.get("REPRO_GEMM_MIN_BLOCK_MNK", "").strip()
-    env_cols = os.environ.get("REPRO_GEMM_MIN_BLOCK_MNK_COLS", "").strip()
 
     if env_flops:
         min_flops = max(float(env_flops), 0.0)
@@ -380,27 +330,8 @@ def _autotune(pool: ThreadPoolExecutor, threads: int) -> GemmTuning:
                 verified = False
                 min_flops = float("inf")
                 break
-
-    verified_cols = True
-    if env_cols:
-        min_block_cols = max(int(env_cols), 1)
-    else:
-        min_block_cols = MIN_BLOCK_MNK_COLS_FLOOR
-        while not _col_floor_is_exact(min_block_cols):
-            min_block_cols *= 2
-            if min_block_cols > MIN_BLOCK_MNK_CEIL:
-                # Same refusal policy as the row floor: no bit-exact
-                # column blocking on this BLAS ⇒ pgemm never takes that
-                # path.  The floor resets so :func:`plan_gemm` can still
-                # form candidate bounds and verify them *per shape* with
-                # the actual operand layout (see ``b_sample``).
-                verified_cols = False
-                min_block_cols = MIN_BLOCK_MNK_COLS_FLOOR
-                break
     return GemmTuning(min_flops=min_flops, min_block_mnk=min_block,
-                      verified=verified,
-                      min_block_mnk_cols=min_block_cols,
-                      verified_cols=verified_cols)
+                      verified=verified)
 
 
 def tuning() -> GemmTuning:
@@ -416,6 +347,47 @@ def tuning() -> GemmTuning:
         if _tuning is None:
             _tuning = tuned
         return _tuning
+
+
+# ---------------------------------------------------------------------------
+# routing
+
+
+class Route(NamedTuple):
+    """How one GEMM shape runs right now."""
+
+    kind: str                 #: ``direct`` | ``rows``
+    bounds: tuple[int, ...]   #: row cut points (empty for ``direct``)
+    threads: int              #: live pool width
+
+
+def _bounds(size: int, nblocks: int) -> tuple[int, ...]:
+    """Contiguous block boundaries: ``nblocks + 1`` cut points over size."""
+    base, rem = divmod(size, nblocks)
+    bounds = [0]
+    for i in range(nblocks):
+        bounds.append(bounds[-1] + base + (1 if i < rem else 0))
+    return tuple(bounds)
+
+
+def route(m: int, k: int, n: int, dtype: np.dtype | type) -> Route:
+    """Route an ``(m, k) @ (k, n)`` GEMM: ``direct`` or row-blocked.
+
+    Reads the live pool width and tuning.  Row blocking needs a
+    float32/float64 GEMM of at least ``min_flops`` whose rows split into
+    >= 2 blocks of at least the verified ``min_block_mnk`` work each;
+    everything else (including short-``m``/wide-``n`` fc shapes) runs
+    direct.  One thread never triggers auto-tuning.
+    """
+    threads = gemm_threads()
+    if threads > 1 and np.dtype(dtype) in _BLAS_DTYPES and min(m, k, n) > 0:
+        mnk = m * k * n
+        tune = tuning()
+        if 2.0 * mnk >= tune.min_flops:
+            nblocks = min(threads, m, mnk // tune.min_block_mnk)
+            if nblocks >= 2:
+                return Route("rows", _bounds(m, nblocks), threads)
+    return Route("direct", (), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +426,6 @@ def _mm_block(a_blk: np.ndarray, b: np.ndarray, out_blk: np.ndarray) -> None:
     np.matmul(a_blk, b, out=out_blk)
 
 
-def _mm_col_block(a: np.ndarray, b_blk: np.ndarray, out_blk: np.ndarray) -> None:
-    np.matmul(a, b_blk, out=out_blk)
-
-
-def _bounds(size: int, nblocks: int) -> tuple[int, ...]:
-    """Contiguous block boundaries: ``nblocks + 1`` cut points over size."""
-    base, rem = divmod(size, nblocks)
-    bounds = [0]
-    for i in range(nblocks):
-        bounds.append(bounds[-1] + base + (1 if i < rem else 0))
-    return tuple(bounds)
-
-
 def _result_buffer(
     out: np.ndarray | None, m: int, n: int, dtype: np.dtype
 ) -> np.ndarray:
@@ -486,9 +445,8 @@ def _pooled_rows(
     out: np.ndarray | None,
     bounds: tuple[int, ...],
     threads: int,
-    pool: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
-    """Row-blocked pooled product over frozen ``bounds`` (bit-exact)."""
+    """Row-blocked pooled product over ``bounds`` (bit-exact)."""
     m, n = a.shape[0], b.shape[1]
     nblocks = len(bounds) - 1
     mnk = m * a.shape[1] * n
@@ -500,8 +458,7 @@ def _pooled_rows(
         threads=threads,
         rows_per_block=bounds[1],
     ) as sp:
-        if pool is None:
-            pool = _get_pool(threads)
+        pool = _get_pool(threads)
         futures = [
             pool.submit(_mm_block, a[s:e], b, result[s:e])
             for s, e in zip(bounds[1:-1], bounds[2:])
@@ -528,55 +485,21 @@ def _pooled_rows(
     return result
 
 
-def _pooled_cols(
-    a: np.ndarray,
-    b: np.ndarray,
-    out: np.ndarray | None,
-    bounds: tuple[int, ...],
-    threads: int,
-    pool: ThreadPoolExecutor | None = None,
+def _routed(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None
 ) -> np.ndarray:
-    """Column-blocked pooled product over frozen ``bounds`` (bit-exact).
-
-    Output column ``j`` is ``a @ b[:, j]`` whichever block computes it —
-    no accumulation is re-associated — and the per-block floor behind
-    ``bounds`` was verified by :func:`_col_floor_is_exact`.
-    """
-    m, n = a.shape[0], b.shape[1]
-    nblocks = len(bounds) - 1
-    mnk = m * a.shape[1] * n
-    result = _result_buffer(out, m, n, a.dtype)
-
-    with trace.span(
-        "gemm.pool",
-        blocks=nblocks,
-        threads=threads,
-        rows_per_block=m,
-        axis="cols",
-    ) as sp:
-        if pool is None:
-            pool = _get_pool(threads)
-        futures = [
-            pool.submit(_mm_col_block, a, b[:, s:e], result[:, s:e])
-            for s, e in zip(bounds[1:-1], bounds[2:])
-        ]
-        _mm_col_block(a, b[:, : bounds[1]], result[:, : bounds[1]])
-        for f in futures:
-            f.result()
-        sp.add("rows", m)
-        sp.add("blocks", nblocks)
-        sp.add("flops", 2 * mnk)
-
-    with _state_lock:
-        _stats.calls += 1
-        _stats.col_calls += 1
-        _stats.col_blocks += nblocks
-        _stats.pooled_flops += 2 * mnk
-
-    if out is not None and result is not out:
-        out[...] = result
-        return out
-    return result
+    """``a @ b`` along :func:`route`'s decision for these operands."""
+    if (
+        a.ndim != 2
+        or b.ndim != 2
+        or a.dtype != b.dtype
+        or a.shape[1] != b.shape[0]
+    ):
+        return _direct(a, b, out)
+    r = route(a.shape[0], a.shape[1], b.shape[1], a.dtype)
+    if r.kind == "rows":
+        return _pooled_rows(a, b, out, r.bounds, r.threads)
+    return _direct(a, b, out)
 
 
 def pgemm(
@@ -584,8 +507,8 @@ def pgemm(
 ) -> np.ndarray:
     """Parallel ``a @ b``, bit-identical to the serial product.
 
-    2-D float32/float64 operands above the auto-tuned crossover are
-    split into contiguous row blocks of ``a`` and multiplied on the
+    2-D float32/float64 operands that :func:`route` sends to ``rows``
+    are split into contiguous row blocks of ``a`` and multiplied on the
     process-wide thread pool, each block writing its slice of a shared
     preallocated output.  Everything else — small GEMMs, 1 configured
     thread, integer/odd-dimensional operands, mixed dtypes — falls back
@@ -595,207 +518,66 @@ def pgemm(
     C-contiguous ``(m, n)`` array of the result dtype is filled in
     place, anything else is filled via a temporary.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    threads = gemm_threads()
-    if (
-        threads <= 1
-        or a.ndim != 2
-        or b.ndim != 2
-        or a.dtype != b.dtype
-        or a.dtype not in _BLAS_DTYPES
-        or a.shape[1] != b.shape[0]
-    ):
-        return _direct(a, b, out)
-
-    m, k = a.shape
-    n = b.shape[1]
-    mnk = m * k * n
-    tune = tuning()
-    if 2.0 * mnk < tune.min_flops:
-        return _direct(a, b, out)
-    nblocks = min(threads, m, mnk // tune.min_block_mnk)
-    if nblocks >= 2:
-        return _pooled_rows(a, b, out, _bounds(m, nblocks), threads)
-    if tune.verified_cols and m < threads:
-        # Row blocking can't split this one (short m / sub-floor row
-        # blocks): a wide-n fc-style GEMM may still column-block.
-        ncb = min(threads, n, mnk // tune.min_block_mnk_cols)
-        if ncb >= 2:
-            return _pooled_cols(a, b, out, _bounds(n, ncb), threads)
-    return _direct(a, b, out)
+    return _routed(np.asarray(a), np.asarray(b), out)
 
 
 # ---------------------------------------------------------------------------
-# pre-decided dispatch (compiled inference plans)
+# plan entry points
 
 
 @dataclass(frozen=True)
 class GemmDispatch:
-    """A frozen routing decision for one GEMM shape.
+    """One GEMM shape bound by a compiled plan.
 
-    :func:`plan_gemm` runs :func:`pgemm`'s decision tree once for a
-    known ``(m, k, n, dtype)`` and freezes the outcome — direct vs
-    row-blocked vs column-blocked, including the exact block bounds —
-    so a compiled plan step replays the route without re-deriving it
-    per call.  Any route is bit-identical to ``a @ b`` (that is
-    ``pgemm``'s contract), so freezing can never change results; a
-    thread-width change after planning merely makes the frozen route
-    suboptimal until the plan recompiles.
+    ``kind`` is the route :func:`route` chose at plan time, kept for
+    ``repro plan`` output.  :meth:`run` routes each call afresh, so a
+    later :func:`configure` applies to planned GEMMs too.
     """
 
-    kind: str                 #: ``direct`` | ``rows`` | ``cols``
+    kind: str                 #: ``direct`` | ``rows`` at plan time
     m: int
     k: int
     n: int
     dtype: np.dtype
-    bounds: tuple[int, ...]   #: cut points along the split axis (empty for direct)
-    threads: int
 
     def run(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Execute ``a @ b`` along the frozen route."""
+        """``a @ b`` for the bound shape (any other shape goes to pgemm)."""
         if a.shape != (self.m, self.k) or b.shape != (self.k, self.n) or \
                 a.dtype != self.dtype or b.dtype != self.dtype:
-            return pgemm(a, b, out)  # shape drifted from the plan: re-decide
+            return pgemm(a, b, out)
         with _state_lock:
             _stats.planned_calls += 1
-        if self.kind == "rows":
-            return _pooled_rows(a, b, out, self.bounds, self.threads)
-        if self.kind == "cols":
-            return _pooled_cols(a, b, out, self.bounds, self.threads)
-        return _direct(a, b, out)
+        return _routed(a, b, out)
 
 
-def _col_bounds_exact_for(
-    m: int, k: int, b: np.ndarray, bounds: tuple[int, ...]
-) -> bool:
-    """Per-shape, layout-true column-blocking verification.
-
-    Probes the *actual* right-hand operand (its memory layout decides
-    which BLAS kernel runs) against a random left operand: every column
-    slice must match the monolithic product bit-for-bit.  Kernel choice
-    depends on shape/layout, not data, so one probe certifies the
-    route for all inputs of that shape.
-    """
-    rng = np.random.default_rng(0x51C0)
-    a = rng.standard_normal((m, k)).astype(b.dtype)
-    full = a @ b
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        if not np.array_equal(a @ b[:, s:e], full[:, s:e]):
-            return False
-    return True
-
-
-def plan_gemm(
-    m: int,
-    k: int,
-    n: int,
-    dtype: np.dtype | type,
-    b_sample: np.ndarray | None = None,
-) -> GemmDispatch:
-    """Freeze :func:`pgemm`'s routing decision for one GEMM shape.
-
-    ``b_sample``, when given, is the actual right-hand operand the plan
-    will run against (e.g. a transposed fc weight view).  It enables
-    the column route on BLAS builds where the *global* column floor
-    could not be verified: the candidate bounds are probed against
-    ``b_sample`` itself, layout and all, and accepted only bit-exact.
-    """
+def plan_gemm(m: int, k: int, n: int, dtype: np.dtype | type) -> GemmDispatch:
+    """Bind one GEMM shape for a compiled plan."""
     dtype = np.dtype(dtype)
-    threads = gemm_threads()
-    kind, bounds = "direct", ()
-    if threads > 1 and dtype in _BLAS_DTYPES and m > 0 and k > 0 and n > 0:
-        mnk = m * k * n
-        tune = tuning()
-        if 2.0 * mnk >= tune.min_flops:
-            nblocks = min(threads, m, mnk // tune.min_block_mnk)
-            if nblocks >= 2:
-                kind, bounds = "rows", _bounds(m, nblocks)
-            elif m < threads:
-                ncb = min(threads, n, mnk // tune.min_block_mnk_cols)
-                if ncb >= 2:
-                    cand = _bounds(n, ncb)
-                    ok = tune.verified_cols or (
-                        b_sample is not None
-                        and b_sample.shape == (k, n)
-                        and b_sample.dtype == dtype
-                        and _col_bounds_exact_for(m, k, b_sample, cand)
-                    )
-                    if ok:
-                        kind, bounds = "cols", cand
-    return GemmDispatch(
-        kind=kind, m=m, k=k, n=n, dtype=dtype, bounds=bounds, threads=threads
-    )
+    return GemmDispatch(kind=route(m, k, n, dtype).kind, m=m, k=k, n=n,
+                        dtype=dtype)
 
 
 class DispatchGroup:
-    """Shared dispatch context for a run of back-to-back GEMMs.
+    """The GEMM entry point shared by a run of back-to-back GEMMs.
 
-    :func:`pgemm` re-resolves the pool width, the tuning record and the
-    pool handle — several lock acquisitions — on every call.  A
-    ``DispatchGroup`` snapshots them once; the GEMMs of a run (e.g. the
-    gathered-row products of consecutive sparse-path layers in a
-    compiled plan) are then issued through the snapshot, paying one
-    dispatch setup instead of N.  Routing decisions and block maths are
-    identical to :func:`pgemm`, so results are bit-identical; the
-    snapshot self-refreshes after ``fork`` (PID check).
-
-    Note this batches the *dispatch* of the per-layer GEMMs, not the
-    GEMMs themselves: consecutive layers are data-dependent (layer
-    ``i+1`` consumes layer ``i``'s output), so their products cannot be
-    fused into one BLAS call.
+    A compiled plan gives each run of consecutive sparse-path conv
+    layers one group and issues their gathered-row GEMMs through
+    :meth:`gemm`, which routes exactly like :func:`pgemm`.
     """
-
-    __slots__ = ("threads", "tune", "pool", "pid")
-
-    def __init__(self) -> None:
-        self.refresh()
-
-    def refresh(self) -> None:
-        self.pid = os.getpid()
-        self.threads = gemm_threads()
-        self.tune = tuning()
-        self.pool = _get_pool(self.threads) if self.threads > 1 else None
 
     def gemm(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``a @ b`` via the snapshot (same routing as :func:`pgemm`)."""
-        if os.getpid() != self.pid or (
-            self.pool is not None and self.pool._shutdown
-        ):
-            # Post-fork, or the process pool was rebuilt/shut down
-            # (configure/reset) since the snapshot: take a fresh one.
-            self.refresh()
-        threads, tune = self.threads, self.tune
-        if (
-            threads <= 1
-            or a.ndim != 2
-            or b.ndim != 2
-            or a.dtype != b.dtype
-            or a.dtype not in _BLAS_DTYPES
-            or a.shape[1] != b.shape[0]
-        ):
-            return _direct(a, b, out)
-        m, k = a.shape
-        n = b.shape[1]
-        mnk = m * k * n
-        if 2.0 * mnk < tune.min_flops:
-            return _direct(a, b, out)
-        nblocks = min(threads, m, mnk // tune.min_block_mnk)
-        if nblocks >= 2:
-            return _pooled_rows(a, b, out, _bounds(m, nblocks), threads, self.pool)
-        if tune.verified_cols and m < threads:
-            ncb = min(threads, n, mnk // tune.min_block_mnk_cols)
-            if ncb >= 2:
-                return _pooled_cols(a, b, out, _bounds(n, ncb), threads, self.pool)
-        return _direct(a, b, out)
+        """``a @ b`` (same routing as :func:`pgemm`)."""
+        return _routed(a, b, out)
 
 
 __all__ = [
     "pgemm",
+    "route",
+    "Route",
     "plan_gemm",
     "GemmDispatch",
     "DispatchGroup",

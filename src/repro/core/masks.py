@@ -13,6 +13,7 @@ inference, which are then fed into our simulator").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class SensitivityMask:
 
     @property
     def sensitive_count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     @property
     def sensitive_fraction(self) -> float:
@@ -50,13 +51,28 @@ class SensitivityMask:
     def insensitive_fraction(self) -> float:
         return 1.0 - self.sensitive_fraction
 
+    @cached_property
+    def by_channel(self) -> np.ndarray:
+        """Channel-major ``(C, N*H*W)`` copy, positions in ``(n, h, w)`` order.
+
+        Per-channel and per-position reductions over this copy run along
+        long contiguous rows; over the NCHW mask their inner loops are
+        only C or H*W elements long, which is several times slower.
+        """
+        m = self.mask
+        return np.ascontiguousarray(np.moveaxis(m, 1, 0)).reshape(m.shape[1], -1)
+
     def per_channel_counts(self) -> np.ndarray:
         """Sensitive-output count per output channel, summed over the batch.
 
         This is the per-OFM workload vector consumed by the accelerator's
         workload scheduler (Figs 14-16).
         """
-        return self.mask.sum(axis=(0, 2, 3)).astype(np.int64)
+        return self.by_channel.sum(axis=1).astype(np.int64)
+
+    def sensitive_positions(self) -> np.ndarray:
+        """Per output position (``n, h, w`` order): is any channel sensitive?"""
+        return self.by_channel.any(axis=0)
 
     def per_image_channel_counts(self) -> np.ndarray:
         """Shape (N, C) sensitive counts: one OFM workload row per image."""

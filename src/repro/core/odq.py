@@ -45,15 +45,24 @@ between
     per layer-call dispatch on the sensitive-row density against
     :data:`SPARSE_ROW_CROSSOVER` (measured in
     ``benchmarks/bench_odq_sparse.py``).
+
+One function, :func:`odq_conv`, implements the per-call numerics for all
+three paths.  ``ODQConvExecutor.run``, compiled plan steps
+(:mod:`repro.core.plan`) and the QAT layer (via :func:`odq_mixed_conv`)
+all call it with their own operands and GEMM callables.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.config import ODQ_LOW_BITS, ODQ_TOTAL_BITS
 from repro.core.base import ConvExecutor
 from repro.core.colcache import ColumnCache, PackedConvWeights, packed_store
+# The launcher of benchmarks/e2e rebinds this module's ``pgemm`` to time
+# GEMMs, so the kernel resolves it at call time, not as a default value.
 from repro.core.gemm import pgemm
 from repro.core.masks import SensitivityMask, mask_from_magnitude
 from repro.obs import trace
@@ -73,6 +82,9 @@ EXEC_PATHS = ("auto", "dense", "sparse")
 #: resnet20/cifar10 at default scale, so only near-saturated masks go
 #: dense.
 SPARSE_ROW_CROSSOVER = 0.9
+
+#: A GEMM callable with :func:`~repro.core.gemm.pgemm`'s signature.
+GemmFn = Callable[..., np.ndarray]
 
 
 def odq_weight_qparams(
@@ -100,50 +112,166 @@ def odq_weight_qparams(
     return symmetric_qparams(max(scale_src, 1e-8), total_bits)
 
 
-def _partial_2d(cache: ColumnCache, packed: PackedConvWeights,
-                scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dequantized predictor partial, raw HH GEMM) in (rows, C_out) layout.
-
-    The HH GEMM result holds exact integer values in float64 (see
-    :mod:`repro.core.colcache`); it is returned so the sparse path can
-    reassemble the full integer accumulate without recomputing it.
-    """
-    hh2d = pgemm(cache.cols_high, packed.wmat_high)
+def _partial_2d(cache: ColumnCache, packed: PackedConvWeights, scale: float,
+                bias2d: np.ndarray | None, mm: GemmFn) -> np.ndarray:
+    """Dequantized predictor partial (plus bias) in (rows, C_out) layout."""
+    hh2d = mm(cache.cols_high, packed.wmat_high)
     partial2d = scale * (
         hh2d * float(1 << packed.high_shift)
         + (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
     )
-    return partial2d, hh2d
+    return partial2d if bias2d is None else partial2d + bias2d
 
 
-def _dense_full_2d(cache: ColumnCache, packed: PackedConvWeights,
-                   scale: float) -> np.ndarray:
-    """Exact INT4 static-quantization output, dense GEMM, (rows, C_out)."""
-    acc2d = pgemm(cache.cols, packed.wmat_full)
-    return scale * (acc2d - cache.qp_a.zero_point * packed.w_sum)
+def _full_2d(cache: ColumnCache, cols: np.ndarray, packed: PackedConvWeights,
+             scale: float, bias2d: np.ndarray | None, mm: GemmFn) -> np.ndarray:
+    """Exact INT4 static-quantization output of ``cols`` rows, (rows, C_out).
 
-
-def _sparse_full_rows(
-    cache: ColumnCache,
-    packed: PackedConvWeights,
-    scale: float,
-    sel: np.ndarray,
-) -> np.ndarray:
-    """Exact full output for the selected rows only, ``(len(sel), C_out)``.
-
-    One gather + one GEMM against the full packed operand — literally
-    :func:`_dense_full_2d` restricted to the selected rows, so the result
-    is bit-exact by construction.  The hardware-faithful alternative
-    (reuse the predictor's HH term, one GEMM against the cross-term
-    operand ``wmat_rest``) computes the same integers but needs a
-    2x-wide operand and a second gather; a float64 GEMM gives no low-bit
-    discount, so the full-operand form wins row-for-row (the cross-term
-    machinery lives on in :mod:`repro.core.colcache` — it is what the
-    paper's executor clusters physically compute, and the tests pin its
-    algebra against this path).
+    The dense path passes every column row; the sparse path passes only
+    the gathered sensitive rows, so its result is the dense expression
+    restricted to those rows and bit-exact by construction.  The
+    hardware-faithful alternative (reuse the predictor's HH term, one
+    GEMM against the cross-term operand ``wmat_rest``) computes the same
+    integers but needs a 2x-wide operand and a second gather; a float64
+    GEMM gives no low-bit discount, so the full-operand form wins
+    row-for-row (the cross-term machinery lives on in
+    :mod:`repro.core.colcache` — it is what the paper's executor
+    clusters physically compute, and the tests pin its algebra).
     """
-    acc_rows = pgemm(cache.full_rows(sel), packed.wmat_full)
-    return scale * (acc_rows - cache.qp_a.zero_point * packed.w_sum)
+    acc = mm(cols, packed.wmat_full)
+    full2d = scale * (acc - cache.qp_a.zero_point * packed.w_sum)
+    return full2d if bias2d is None else full2d + bias2d
+
+
+class ConvResult(NamedTuple):
+    """Everything one :func:`odq_conv` call produced."""
+
+    out: np.ndarray             #: full result where sensitive, partial elsewhere
+    mask: SensitivityMask
+    partial: np.ndarray         #: predictor partial (see ``keep_partial``)
+    full: np.ndarray | None     #: dense full result; None when sparse ran
+    path: str                   #: the result-generation path that ran
+    cache: ColumnCache
+
+
+def odq_conv(
+    x: np.ndarray,
+    prep: Callable[[np.ndarray], ColumnCache],
+    packed: PackedConvWeights,
+    w_scale: float,
+    bias2d: np.ndarray | None,
+    threshold: float,
+    exec_path: str,
+    crossover: float,
+    *,
+    ex: ODQConvExecutor | None = None,
+    gemm: GemmFn | None = None,
+    gemm_rows: GemmFn | None = None,
+    keep_partial: bool = False,
+) -> ConvResult:
+    """One ODQ layer call: predict, mask, then exact results where sensitive.
+
+    The single implementation of the per-call numerics, shared by
+    :meth:`ODQConvExecutor.run`, compiled plan steps and
+    :func:`odq_mixed_conv`.
+
+    ``prep`` builds the call's :class:`ColumnCache` from ``x``;
+    ``w_scale`` is the weight scale and ``bias2d`` the ``(1, C_out)``
+    bias.  ``exec_path`` ``auto`` runs sparse when at most
+    ``crossover * rows`` rows hold a sensitive output.  ``gemm`` runs the
+    predictor and dense GEMMs and ``gemm_rows`` the sparse gathered-row
+    GEMM; both default to :func:`~repro.core.gemm.pgemm`.
+
+    With ``ex``, the call is accounted on that executor's record: shapes,
+    the mask, the exec-path census, MACs and, when the executor collects
+    them, partial-magnitude samples.  The sparse path scatters the exact
+    rows into the partial in place unless ``keep_partial`` is set.
+
+    Emits the ``odq.run`` span with ``odq.quantize`` /
+    ``odq.predict_partial`` / ``odq.mask`` / ``odq.full_result`` phases
+    (no-ops while tracing is off).
+    """
+    mm = pgemm if gemm is None else gemm
+    mm_rows = pgemm if gemm_rows is None else gemm_rows
+    name = None if ex is None else ex.info.name
+    if ex is not None:
+        ex._note_shapes(x)
+    ckk, c_out = packed.wmat_full.shape
+
+    with trace.span("odq.run", layer=name) as sp:
+        with trace.span("odq.quantize", layer=name):
+            cache = prep(x)
+        scale = cache.qp_a.scale * w_scale
+        with trace.span("odq.predict_partial", layer=name):
+            partial2d = _partial_2d(cache, packed, scale, bias2d, mm)
+            partial = cache.to_nchw(partial2d)
+        if ex is not None and ex.collect_partials:
+            flat = np.abs(partial).reshape(-1)
+            step = max(1, flat.size // 4096)
+            ex.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
+        with trace.span("odq.mask", layer=name):
+            mask = mask_from_magnitude(partial, threshold)
+            # Row = one spatial output position; a row is computed by
+            # the sparse path when *any* of its channels is sensitive.
+            any_rows = mask.sensitive_positions()
+            n_sense_rows = int(np.count_nonzero(any_rows))
+
+        path = exec_path
+        if path == "auto":
+            path = "sparse" if n_sense_rows <= crossover * cache.rows else "dense"
+
+        with trace.span("odq.full_result", layer=name, path=path) as fsp:
+            if path == "dense":
+                full = cache.to_nchw(
+                    _full_2d(cache, cache.cols, packed, scale, bias2d, mm)
+                )
+                out = np.where(mask.mask, full, partial)
+                rows_computed = cache.rows
+            else:
+                full = None
+                out2d = partial2d.copy() if keep_partial else partial2d
+                sel = np.flatnonzero(any_rows)
+                if sel.size:
+                    full_rows = _full_2d(
+                        cache, cache.full_rows(sel), packed, scale, bias2d, mm_rows
+                    )
+                    # Gather only the selected rows of the mask
+                    # ((R, C_out)) instead of transposing the whole
+                    # NCHW mask into row-major layout.
+                    ni, rem = np.divmod(sel, cache.oh * cache.ow)
+                    oi, oj = np.divmod(rem, cache.ow)
+                    mask_rows = mask.mask[ni, :, oi, oj]
+                    out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
+                out = cache.to_nchw(out2d)
+                rows_computed = n_sense_rows
+            flops_full = rows_computed * ckk * c_out
+            flops_full_dense = cache.rows * ckk * c_out
+            fsp.add("rows", cache.rows)
+            fsp.add("rows_computed", rows_computed)
+            fsp.add("flops_full", flops_full)
+            fsp.add("flops_full_dense", flops_full_dense)
+
+        # One output costs C_in*K*K MACs: the predictor's INT2 stream runs
+        # over every output, the executor's remaining cross terms only
+        # over the sensitive ones.
+        n_out = partial.size
+        n_sensitive = mask.sensitive_count
+        if ex is not None:
+            rec = ex.record
+            rec.add_mask(mask)
+            if not ex.keep_masks:
+                rec.last_mask = None
+            ex._note_exec_path(path, cache.rows, rows_computed,
+                               flops_full, flops_full_dense)
+            rec.macs["pred_int2"] += n_out * ckk
+            rec.macs["exec_int4"] += n_sensitive * ckk
+        sp.set(path=path)
+        sp.add("outputs", n_out)
+        sp.add("sensitive", n_sensitive)
+        sp.add("macs_pred", n_out * ckk)
+        sp.add("macs_exec", n_sensitive * ckk)
+        sp.add("macs_skipped", (n_out - n_sensitive) * ckk)
+    return ConvResult(out, mask, partial, full, path, cache)
 
 
 def odq_mixed_conv(
@@ -160,12 +288,12 @@ def odq_mixed_conv(
     exec_path: str = "dense",
     with_cache: bool = False,
 ) -> dict:
-    """The ODQ two-step forward pass as a pure function.
+    """The ODQ two-step forward pass as a pure function (QAT's forward).
 
-    Returns ``{"out", "mask", "partial", "full"}`` where ``out`` equals
-    ``full`` at sensitive positions and ``partial`` elsewhere.  Shared by
-    the inference executor and the QAT layer so training and deployment
-    see identical semantics.
+    Returns ``{"out", "mask", "partial", "full", "exec_path"}`` where
+    ``out`` equals ``full`` at sensitive positions and ``partial``
+    elsewhere.  Runs the same :func:`odq_conv` kernel as the inference
+    executor, so training and deployment see identical semantics.
 
     ``compensate_low_bits`` adds the expected low-plane contribution
     ``E[q_l] * sum(qw)`` (a per-channel constant — free in hardware, the
@@ -182,9 +310,9 @@ def odq_mixed_conv(
     exact, and ``"full"`` is ``None`` whenever the sparse path ran.
 
     ``with_cache`` additionally returns the per-call
-    :class:`~repro.core.colcache.ColumnCache` under ``"cache"`` so
-    callers (the QAT backward pass) can reuse the column matrix instead
-    of re-unfolding the input.
+    :class:`~repro.core.colcache.ColumnCache` under ``"cache"`` (and the
+    packed weights under ``"packed"``) so callers (the QAT backward
+    pass) can reuse the column matrix instead of re-unfolding the input.
     """
     if exec_path not in EXEC_PATHS:
         raise ValueError(f"unknown exec_path {exec_path!r}; expected one of {EXEC_PATHS}")
@@ -193,50 +321,21 @@ def odq_mixed_conv(
     # loops, notebook re-runs) hit the packed-operand store.
     packed = packed_store().get_or_pack(qw, qp_w, low_bits)
     kernel = weight.shape[2]
-    cache = ColumnCache(  # repro: noqa[PLN501] — pure-function API: no engine/plan owns a cache provider here
-        x, qp_a, kernel, stride, padding, low_bits, compensate_low_bits
+
+    def prep(inp: np.ndarray) -> ColumnCache:
+        return ColumnCache(  # repro: noqa[PLN501] — pure-function API: no engine/plan owns a cache provider here
+            inp, qp_a, kernel, stride, padding, low_bits, compensate_low_bits
+        )
+
+    r = odq_conv(
+        x, prep, packed, qp_w.scale,
+        None if bias is None else bias.reshape(1, -1),
+        threshold, exec_path, SPARSE_ROW_CROSSOVER, keep_partial=True,
     )
-    scale = qp_a.scale * qp_w.scale
-    bias2d = None if bias is None else bias.reshape(1, -1)
-
-    partial2d, hh2d = _partial_2d(cache, packed, scale)
-    if bias2d is not None:
-        partial2d = partial2d + bias2d
-    partial = cache.to_nchw(partial2d)
-    mask = mask_from_magnitude(partial, threshold)
-
-    any_rows = mask.mask.any(axis=1).reshape(-1)
-    n_sense_rows = int(np.count_nonzero(any_rows))
-    path = exec_path
-    if path == "auto":
-        path = ("sparse"
-                if n_sense_rows <= SPARSE_ROW_CROSSOVER * cache.rows
-                else "dense")
-
-    if path == "dense":
-        full2d = _dense_full_2d(cache, packed, scale)
-        if bias2d is not None:
-            full2d = full2d + bias2d
-        full = cache.to_nchw(full2d)
-        out = np.where(mask.mask, full, partial)
-    else:
-        out2d = partial2d.copy()
-        sel = np.flatnonzero(any_rows)
-        if sel.size:
-            full_rows = _sparse_full_rows(cache, packed, scale, sel)
-            if bias2d is not None:
-                full_rows = full_rows + bias2d
-            ni, rem = np.divmod(sel, cache.oh * cache.ow)
-            oi, oj = np.divmod(rem, cache.ow)
-            mask_rows = mask.mask[ni, :, oi, oj]
-            out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-        full = None
-        out = cache.to_nchw(out2d)
-
-    result = {"out": out, "mask": mask, "partial": partial, "full": full,
-              "exec_path": path}
+    result = {"out": r.out, "mask": r.mask, "partial": r.partial,
+              "full": r.full, "exec_path": r.path}
     if with_cache:
-        result["cache"] = cache
+        result["cache"] = r.cache
         result["packed"] = packed
     return result
 
@@ -410,26 +509,8 @@ class ODQConvExecutor(ConvExecutor):
             self.compensate_low_bits if compensate is None else compensate,
         )
 
-    def _scale(self, cache: ColumnCache) -> float:
-        return cache.qp_a.scale * self.qp_w.scale
-
     def _bias2d(self) -> np.ndarray | None:
         return None if self.conv.bias is None else self.conv.bias.data.reshape(1, -1)
-
-    def _partial_pair(self, cache: ColumnCache) -> tuple[np.ndarray, np.ndarray]:
-        """(partial2d with bias, raw hh2d) — the predictor step on a cache."""
-        partial2d, hh2d = _partial_2d(cache, self._packed, self._scale(cache))
-        bias2d = self._bias2d()
-        if bias2d is not None:
-            partial2d = partial2d + bias2d
-        return partial2d, hh2d
-
-    def _dense_full(self, cache: ColumnCache) -> np.ndarray:
-        full2d = _dense_full_2d(cache, self._packed, self._scale(cache))
-        bias2d = self._bias2d()
-        if bias2d is not None:
-            full2d = full2d + bias2d
-        return cache.to_nchw(full2d)
 
     # -- the two-step inference -----------------------------------------------------
 
@@ -443,101 +524,28 @@ class ODQConvExecutor(ConvExecutor):
         """
         with trace.span("odq.quantize", layer=self.info.name):
             cache = self._build_cache(x)
-        partial2d, _ = self._partial_pair(cache)
-        return cache.to_nchw(partial2d)
+        scale = cache.qp_a.scale * self.qp_w.scale
+        return cache.to_nchw(
+            _partial_2d(cache, self._packed, scale, self._bias2d(), pgemm)
+        )
 
     def full_result(self, x: np.ndarray) -> np.ndarray:
         """Exact INT4 static-quantization output (predictor + all executor terms)."""
         # Standalone callers never read e_low, so skip measuring it.
         cache = self._build_cache(x, compensate=False)
-        return self._dense_full(cache)
+        scale = cache.qp_a.scale * self.qp_w.scale
+        return cache.to_nchw(
+            _full_2d(cache, cache.cols, self._packed, scale, self._bias2d(), pgemm)
+        )
 
     def run(self, x: np.ndarray) -> np.ndarray:
         if not self.frozen:
             raise RuntimeError(f"executor {self.info.name} not frozen; calibrate first")
-        self._note_shapes(x)
-        name = self.info.name
-        c_out = self.info.out_channels
-        mpo = self.info.macs_per_output
-        ckk = self._packed.wmat_full.shape[0]
-
-        with trace.span("odq.run", layer=name) as sp:
-            with trace.span("odq.quantize", layer=name):
-                cache = self._build_cache(x)
-            with trace.span("odq.predict_partial", layer=name):
-                partial2d, _ = self._partial_pair(cache)
-                partial = cache.to_nchw(partial2d)
-            if self.collect_partials:
-                flat = np.abs(partial).reshape(-1)
-                step = max(1, flat.size // 4096)
-                self.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
-            with trace.span("odq.mask", layer=name):
-                mask = mask_from_magnitude(partial, self.effective_threshold)
-                # Row = one spatial output position; a row is computed by
-                # the sparse path when *any* of its channels is sensitive.
-                any_rows = mask.mask.any(axis=1).reshape(-1)
-                n_sense_rows = int(np.count_nonzero(any_rows))
-
-            path = self.exec_path
-            if path == "auto":
-                path = ("sparse"
-                        if n_sense_rows <= self.sparse_crossover * cache.rows
-                        else "dense")
-
-            with trace.span("odq.full_result", layer=name, path=path) as fsp:
-                if path == "dense":
-                    full = self._dense_full(cache)
-                    out = np.where(mask.mask, full, partial)
-                    rows_computed = cache.rows
-                    flops_full = cache.rows * ckk * c_out
-                else:
-                    # Scatter in place: ``partial`` is a view of
-                    # ``partial2d`` (see ColumnCache.to_nchw) and is not
-                    # read again after the mask, so no copy is needed.
-                    out2d = partial2d
-                    sel = np.flatnonzero(any_rows)
-                    if sel.size:
-                        full_rows = _sparse_full_rows(
-                            cache, self._packed, self._scale(cache), sel
-                        )
-                        bias2d = self._bias2d()
-                        if bias2d is not None:
-                            full_rows = full_rows + bias2d
-                        # Gather only the selected rows of the mask
-                        # ((R, C_out)) instead of transposing the whole
-                        # NCHW mask into row-major layout.
-                        ni, rem = np.divmod(sel, cache.oh * cache.ow)
-                        oi, oj = np.divmod(rem, cache.ow)
-                        mask_rows = mask.mask[ni, :, oi, oj]
-                        out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-                    out = partial
-                    rows_computed = n_sense_rows
-                    flops_full = n_sense_rows * ckk * c_out
-                flops_full_dense = cache.rows * ckk * c_out
-                fsp.add("rows", cache.rows)
-                fsp.add("rows_computed", rows_computed)
-                fsp.add("flops_full", flops_full)
-                fsp.add("flops_full_dense", flops_full_dense)
-
-            self.record.add_mask(mask)
-            if not self.keep_masks:
-                self.record.last_mask = None
-            self._note_exec_path(path, cache.rows, rows_computed,
-                                 flops_full, flops_full_dense)
-            n_out = partial.size
-            # Predictor: one INT2 MAC stream over every output feature.
-            self.record.macs["pred_int2"] += n_out * mpo
-            # Executor: the remaining three cross terms, only for sensitive outputs.
-            self.record.macs["exec_int4"] += mask.sensitive_count * mpo
-            # Profiling counters: where the MACs went (and the dense-INT4
-            # work the insensitive outputs skipped).
-            sp.set(path=path)
-            sp.add("outputs", n_out)
-            sp.add("sensitive", mask.sensitive_count)
-            sp.add("macs_pred", n_out * mpo)
-            sp.add("macs_exec", mask.sensitive_count * mpo)
-            sp.add("macs_skipped", (n_out - mask.sensitive_count) * mpo)
-        return out
+        return odq_conv(
+            x, self._build_cache, self._packed, self.qp_w.scale, self._bias2d(),
+            self.effective_threshold, self.exec_path, self.sparse_crossover,
+            ex=self,
+        ).out
 
     def _note_exec_path(self, path: str, rows: int, rows_computed: int,
                         flops_full: int, flops_full_dense: int) -> None:
@@ -563,6 +571,8 @@ class ODQConvExecutor(ConvExecutor):
 
 __all__ = [
     "ODQConvExecutor",
+    "ConvResult",
+    "odq_conv",
     "odq_mixed_conv",
     "odq_weight_qparams",
     "EXEC_PATHS",

@@ -1,21 +1,22 @@
 """Compiled inference plans: one-pass layer planning with shape-specialized dispatch.
 
 An :class:`InferencePlan` is compiled once per (engine, input shape/dtype)
-by tracing a single inference through the model and pre-binding, per
-layer, everything the hot path otherwise re-decides on every call:
+by tracing a single inference through the model and binding, per layer,
+what the unplanned path re-derives on every call:
 
-* packed weight operands (``PackedConvWeights`` frozen up front),
+* packed weight operands (``PackedConvWeights``) and the 2-D bias,
 * im2col geometry (output H/W, row counts) from the observed input shape,
-* the GEMM blocking decision, frozen via :func:`repro.core.gemm.plan_gemm`
-  into a :class:`~repro.core.gemm.GemmDispatch`,
-* the exec-path choice — ``auto`` reduced to one precomputed
-  row-count compare against ``sparse_crossover * rows``,
-* a shared :class:`~repro.core.gemm.DispatchGroup` per run of consecutive
-  sparse-capable conv layers, so the run amortizes dispatch bookkeeping
-  (thread-count/tuning snapshot, pool lookup) into one snapshot instead
-  of N per-call re-reads.  This batches the *dispatch*, not the GEMMs
-  themselves — consecutive layers are data-dependent, so their GEMMs
-  cannot be fused into one call.
+* the GEMM shape, bound via :func:`repro.core.gemm.plan_gemm` into a
+  :class:`~repro.core.gemm.GemmDispatch` (routing itself stays live:
+  every call goes through :func:`repro.core.gemm.route`),
+* a shared :class:`~repro.core.gemm.DispatchGroup` as the sparse-row GEMM
+  entry point of each run of consecutive sparse-capable conv layers.
+
+A planned conv step is only a binder: it runs the same
+:func:`repro.core.odq.odq_conv` kernel as ``ODQConvExecutor.run``, so
+the ODQ numerics, record upkeep (masks, per-channel counts, exec-path
+census, MACs) and ``odq.*`` spans are one implementation, and a traced
+run times the planned path that serves.
 
 Two plan modes:
 
@@ -30,15 +31,17 @@ Two plan modes:
     The model's forward has structure a flat tape cannot honor
     (residual adds, concats, repeated modules).  The model walks its own
     Tensor graph as before, but every instrumented conv routes through
-    its pre-bound plan step, keeping the frozen operands and dispatch.
+    its plan step.
 
 Bit-exactness contract
 ----------------------
 Every flat step mirrors the exact numpy expression tree of the Tensor op
 it replaces (e.g. ReLU is ``x * (x > 0)``, not ``np.maximum``; global
 average pooling is ``sum * (1.0 / count)``, not ``np.mean``; BatchNorm's
-subtraction is ``x + (-mean)``), so planned output is bit-identical
-(``==``) to the unplanned path — pinned by ``tests/core/test_plan.py``.
+subtraction is ``x + (-mean)``), or, for max pooling, selects the same
+element the Tensor op's argmax gathers.  So planned output is
+bit-identical (``==``) to the unplanned path — pinned by
+``tests/core/test_plan.py``.
 
 Staleness
 ---------
@@ -50,15 +53,6 @@ threshold (``effective_threshold`` is read per call so threshold sweeps
 hit the planned path unchanged) and the ``ColumnCache`` (built through
 ``executor._build_cache`` so an installed ``cache_provider`` — e.g. the
 sweep column cache — keeps working).
-
-Records: the planned conv fast path maintains ``sensitive_total``, MAC
-counters and the ``exec_*`` extras (everything serving reads).  It skips
-``per_channel_sensitive`` / ``last_mask`` upkeep — those feed the
-accelerator mask dumps, which drive the unplanned ``forward()`` path.
-
-When tracing is enabled, planned conv steps delegate to ``executor.run``
-under the usual ``engine.layer`` span so profiles keep their span tree;
-the plan counts these as re-evaluated (vs frozen) dispatches.
 """
 
 from __future__ import annotations
@@ -66,8 +60,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gemm
-from repro.core.masks import mask_from_magnitude
-from repro.core.odq import ODQConvExecutor
+# Unused here since conv steps run repro.core.odq.odq_conv; kept because
+# the traced launcher of benchmarks/e2e (launcher.py) wraps
+# ``plan.mask_from_magnitude`` by name.  Its ``odq.mask_ms`` therefore
+# reads 0 and mask time is counted in ``odq.self_ms``.
+from repro.core.masks import mask_from_magnitude  # noqa: F401
+from repro.core.odq import ODQConvExecutor, odq_conv
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -80,7 +78,6 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.tensor import Tensor
-from repro.obs import trace
 
 
 class PlanStep:
@@ -139,7 +136,8 @@ class FlattenStep(PlanStep):
 
 class MaxPoolStep(PlanStep):
     """``F.max_pool2d`` forward only — skips the backward scatter-index
-    precompute (divmod + 4 index grids + zeros) the Tensor op pays."""
+    precompute (divmod + 4 index grids + zeros) the Tensor op pays, and
+    the copy of every window the Tensor op's ``argmax`` needs."""
 
     kind = "maxpool"
 
@@ -152,17 +150,21 @@ class MaxPoolStep(PlanStep):
         self.ow = (w - self.kernel) // self.stride + 1
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        n, c = x.shape[0], x.shape[1]
+        # The Tensor op gathers each window's first argmax.  Visiting the
+        # window offsets in the same row-major order and taking a
+        # candidate only when it beats the running best (strictly
+        # greater, or a NaN over a non-NaN) picks the same element:
+        # ties, including -0.0 vs 0.0, keep the earlier one, and the
+        # first NaN stays.
         k, s = self.kernel, self.stride
-        sn, sc, sh, sw = x.strides
-        patches = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, self.oh, self.ow, k, k),
-            strides=(sn, sc, sh * s, sw * s, sh, sw),
-            writeable=False,
-        ).reshape(n, c, self.oh, self.ow, k * k)
-        arg = patches.argmax(axis=-1)
-        return np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
+        hs, ws = s * (self.oh - 1) + 1, s * (self.ow - 1) + 1
+        best = x[:, :, :hs:s, :ws:s].copy()
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    v = x[:, :, i:i + hs:s, j:j + ws:s]
+                    np.copyto(best, v, where=~((v <= best) | (best != best)))
+        return best
 
     def valid(self) -> bool:
         return (
@@ -231,9 +233,7 @@ class LinearStep(PlanStep):
         self._b_src = None if module.bias is None else module.bias.data
         m_rows, k = in_shape
         n = module.out_features
-        self.dispatch = gemm.plan_gemm(
-            m_rows, k, n, self._w_src.dtype, b_sample=self._w_src.T
-        )
+        self.dispatch = gemm.plan_gemm(m_rows, k, n, self._w_src.dtype)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         out = self.dispatch.run(x, self.module.weight.data.T)
@@ -297,24 +297,23 @@ class BatchNormStep(PlanStep):
 
 
 class PlannedConvStep(PlanStep):
-    """One instrumented conv with its per-call re-decisions pre-bound.
+    """One instrumented conv bound to the plan's frozen operands.
 
-    ``fast=True`` (an unpatched, frozen :class:`ODQConvExecutor`) runs a
-    streamlined mirror of ``ODQConvExecutor.run``: frozen packed
-    operands, frozen 2-D bias, one frozen :class:`GemmDispatch` for both
-    the predictor and dense GEMMs (same (rows, ckk, c_out) shape), the
-    ``auto`` branch reduced to one compare against a precomputed row
-    limit, and the sparse gather GEMM issued through the run's shared
-    :class:`DispatchGroup`.  Otherwise (non-ODQ scheme, subclass, or an
-    instance-level ``run`` monkeypatch) the step delegates to
+    ``fast=True`` (an unpatched, frozen :class:`ODQConvExecutor`) runs the
+    same :func:`~repro.core.odq.odq_conv` kernel as ``executor.run``, with
+    the packed operands and 2-D bias frozen here, one
+    :class:`~repro.core.gemm.GemmDispatch` for the predictor and dense
+    GEMMs (both are ``(rows, ckk) @ (ckk, c_out)``), and the sparse
+    gathered-row GEMM issued through the run's shared
+    :class:`~repro.core.gemm.DispatchGroup`.  Otherwise (non-ODQ scheme,
+    subclass, or an instance-level ``run`` monkeypatch) the step calls
     ``executor.run`` — still profiting from the flat tape around it.
     """
 
     kind = "conv"
 
-    def __init__(self, ex, in_shape: tuple, counters: dict) -> None:
+    def __init__(self, ex, in_shape: tuple) -> None:
         self.ex = ex
-        self.counters = counters
         self.fast = (
             type(ex) is ODQConvExecutor
             and ex.frozen
@@ -323,25 +322,17 @@ class PlannedConvStep(PlanStep):
         self.sparse_group: gemm.DispatchGroup | None = None
         self.in_shape = tuple(in_shape)
         if not self.fast:
-            self.dispatch = None
             return
         n, _, h, w = in_shape
         oh, ow = ex.info.output_hw(h, w)
         self.rows = n * oh * ow
-        self.ckk = ex._packed.wmat_full.shape[0]
-        self.c_out = ex.info.out_channels
         self.packed = ex._packed
         self.bias2d = ex._bias2d()
         self._bias_src = None if ex.conv.bias is None else ex.conv.bias.data
         self.path_mode = ex.exec_path
         self.crossover = ex.sparse_crossover
-        # auto reduced to a single precomputed row-fraction compare.
-        self.row_limit = self.crossover * self.rows
-        self.shift_f = float(1 << self.packed.high_shift)
-        self.dispatch = gemm.plan_gemm(
-            self.rows, self.ckk, self.c_out, np.float64,
-            b_sample=self.packed.wmat_full,
-        )
+        ckk, c_out = self.packed.wmat_full.shape
+        self.dispatch = gemm.plan_gemm(self.rows, ckk, c_out, np.float64)
 
     def valid(self) -> bool:
         ex = self.ex
@@ -362,89 +353,26 @@ class PlannedConvStep(PlanStep):
 
     def run(self, x: np.ndarray) -> np.ndarray:
         ex = self.ex
-        if not self.fast or trace.enabled():
-            self.counters["reevaluated"] += 1
-            if trace.enabled():
-                with trace.span("engine.layer", layer=ex.info.name, mode="run"):
-                    return ex.run(x)
+        if not self.fast:
             return ex.run(x)
-        self.counters["frozen"] += 1
-        ex._note_shapes(x)
-        cache = ex._build_cache(x)
-        scale = cache.qp_a.scale * ex.qp_w.scale
-        packed = self.packed
-
-        hh2d = self.dispatch.run(cache.cols_high, packed.wmat_high)
-        partial2d = scale * (
-            hh2d * self.shift_f
-            + (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
-        )
-        if self.bias2d is not None:
-            partial2d = partial2d + self.bias2d
-        partial = cache.to_nchw(partial2d)
-        if ex.collect_partials:
-            flat = np.abs(partial).reshape(-1)
-            step = max(1, flat.size // 4096)
-            ex.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
-
-        # Threshold is read per call (not frozen) so sweeps that mutate
-        # executor thresholds hit the planned path unchanged.
-        mask = mask_from_magnitude(partial, ex.effective_threshold)
-        any_rows = mask.mask.any(axis=1).reshape(-1)
-        n_sense_rows = int(np.count_nonzero(any_rows))
-
-        path = self.path_mode
-        if path == "auto":
-            path = "sparse" if n_sense_rows <= self.row_limit else "dense"
-
-        if path == "dense":
-            acc2d = self.dispatch.run(cache.cols, packed.wmat_full)
-            full2d = scale * (acc2d - cache.qp_a.zero_point * packed.w_sum)
-            if self.bias2d is not None:
-                full2d = full2d + self.bias2d
-            full = cache.to_nchw(full2d)
-            out = np.where(mask.mask, full, partial)
-            rows_computed = cache.rows
-            flops_full = cache.rows * self.ckk * self.c_out
-        else:
-            out2d = partial2d
-            sel = np.flatnonzero(any_rows)
-            if sel.size:
-                group = self.sparse_group
-                mm = gemm.pgemm if group is None else group.gemm
-                acc_rows = mm(cache.full_rows(sel), packed.wmat_full)
-                full_rows = scale * (
-                    acc_rows - cache.qp_a.zero_point * packed.w_sum
-                )
-                if self.bias2d is not None:
-                    full_rows = full_rows + self.bias2d
-                ni, rem = np.divmod(sel, cache.oh * cache.ow)
-                oi, oj = np.divmod(rem, cache.ow)
-                mask_rows = mask.mask[ni, :, oi, oj]
-                out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-            out = partial
-            rows_computed = n_sense_rows
-            flops_full = n_sense_rows * self.ckk * self.c_out
-
-        rec = ex.record
-        rec.sensitive_total += mask.sensitive_count
-        ex._note_exec_path(
-            path, cache.rows, rows_computed, flops_full,
-            cache.rows * self.ckk * self.c_out,
-        )
-        mpo = ex.info.macs_per_output
-        n_out = partial.size
-        rec.macs["pred_int2"] += n_out * mpo
-        rec.macs["exec_int4"] += mask.sensitive_count * mpo
-        return out
+        group = self.sparse_group
+        # The threshold is read per call (not frozen) so sweeps that
+        # mutate executor thresholds hit the planned path unchanged.
+        return odq_conv(
+            x, ex._build_cache, self.packed, ex.qp_w.scale, self.bias2d,
+            ex.effective_threshold, self.path_mode, self.crossover, ex=ex,
+            gemm=self.dispatch.run,
+            gemm_rows=None if group is None else group.gemm,
+        ).out
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "layer": self.ex.info.name, "fast": self.fast}
         if self.fast:
+            auto = self.path_mode == "auto"
             d.update(
                 path=self.path_mode,
                 rows=self.rows,
-                row_limit=self.row_limit if self.path_mode == "auto" else None,
+                row_limit=self.crossover * self.rows if auto else None,
                 dispatch=self.dispatch.kind,
                 sparse_batched=self.sparse_group is not None,
             )
@@ -461,14 +389,13 @@ class InferencePlan:
     """A compiled, shape-specialized execution recipe for one engine."""
 
     def __init__(self, engine, input_shape, input_dtype, mode, steps,
-                 conv_steps, counters, sparse_groups) -> None:
+                 conv_steps, sparse_groups) -> None:
         self.engine = engine
         self.input_shape = tuple(input_shape)
         self.input_dtype = str(input_dtype)
         self.mode = mode  # "flat" | "graph"
         self.steps = steps
         self.conv_steps = conv_steps  # name -> PlannedConvStep
-        self.counters = counters  # {"frozen": n, "reevaluated": n}
         self.sparse_groups = sparse_groups
         self.executions = 0
 
@@ -506,8 +433,6 @@ class InferencePlan:
             ),
             "sparse_batched_layers": sum(len(g) for g in self.sparse_groups),
             "executions": self.executions,
-            "dispatch_frozen": self.counters["frozen"],
-            "dispatch_reevaluated": self.counters["reevaluated"],
         }
 
     def describe(self) -> dict:
@@ -584,14 +509,14 @@ def _is_linear_chain(tape, xt, out_t) -> bool:
     return out_t.data is tape[-1].out.data
 
 
-def _flat_step_for(entry, counters):
+def _flat_step_for(entry):
     """Map one traced leaf call to a flat step, or None if unsupported."""
     from repro.core.pipeline import InstrumentedConv
 
     m = entry.module
     in_shape = entry.x.data.shape
     if isinstance(m, InstrumentedConv):
-        return PlannedConvStep(m.executor, in_shape, counters)
+        return PlannedConvStep(m.executor, in_shape)
     if isinstance(m, Identity):
         return PassStep("identity")
     if isinstance(m, ReLU):
@@ -620,7 +545,7 @@ def _flat_step_for(entry, counters):
 
 def _link_sparse_groups(conv_steps_in_order) -> list:
     """Give each run of >=2 consecutive sparse-capable fast conv steps a
-    shared DispatchGroup (one dispatch snapshot per run instead of N)."""
+    shared DispatchGroup for their gathered-row GEMMs."""
     groups: list[list[PlannedConvStep]] = []
     current: list[PlannedConvStep] = []
     for step in conv_steps_in_order:
@@ -647,11 +572,10 @@ def compile_plan(engine, x: np.ndarray):
     one traced inference, never an extra forward.
     """
     tape, xt, out_t = _trace_leaves(engine, x)
-    counters = {"frozen": 0, "reevaluated": 0}
 
     steps: list[PlanStep] | None = None
     if _is_linear_chain(tape, xt, out_t):
-        candidate = [_flat_step_for(entry, counters) for entry in tape]
+        candidate = [_flat_step_for(entry) for entry in tape]
         if all(step is not None for step in candidate):
             steps = candidate
 
@@ -664,7 +588,7 @@ def compile_plan(engine, x: np.ndarray):
         # Graph mode: the model keeps walking its own forward; convs
         # route through pre-bound steps in traced execution order.
         conv_in_order = [
-            PlannedConvStep(e.module.executor, e.x.data.shape, counters)
+            PlannedConvStep(e.module.executor, e.x.data.shape)
             for e in tape
             if isinstance(e.module, InstrumentedConv)
         ]
@@ -674,8 +598,7 @@ def compile_plan(engine, x: np.ndarray):
     sparse_groups = _link_sparse_groups(conv_in_order)
     conv_steps = {step.ex.info.name: step for step in conv_in_order}
     plan = InferencePlan(
-        engine, x.shape, x.dtype, mode, steps, conv_steps, counters,
-        sparse_groups,
+        engine, x.shape, x.dtype, mode, steps, conv_steps, sparse_groups,
     )
     return plan, out_t.data
 

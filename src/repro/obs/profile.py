@@ -416,14 +416,7 @@ class ProfileResult:
     plan: dict = field(default_factory=dict)
 
     def render_plan(self) -> str:
-        """Compiled-plan table: steps, specialization traffic, dispatch.
-
-        ``dispatch frozen`` counts conv executions that used their
-        pre-bound fast path; ``re-evaluated`` counts delegations back to
-        ``executor.run`` (always the case under tracing, which is why a
-        traced profile shows re-evaluated dispatches — span parity is
-        deliberate).
-        """
+        """Compiled-plan table: steps and specialization traffic."""
         plan = self.plan
         if not plan:
             return ""
@@ -442,16 +435,13 @@ class ProfileResult:
                 f"{p.get('fast_conv_steps', 0)}/{p.get('conv_steps', 0)}",
                 p.get("sparse_batched_layers", 0),
                 p.get("executions", 0),
-                p.get("dispatch_frozen", 0),
-                p.get("dispatch_reevaluated", 0),
             ]
             for p in plan.get("plans", [])
         ]
         if not rows:
             return head
         table = ascii_table(
-            ["input", "mode", "steps", "fast convs", "sparse-batched",
-             "runs", "dispatch frozen", "re-evaluated"],
+            ["input", "mode", "steps", "fast convs", "sparse-batched", "runs"],
             rows,
             title="compiled inference plans (repro.core.plan)",
         )
@@ -496,12 +486,9 @@ def profile_inference(
     executes the FP reference path, not the ODQ phases.
 
     With ``use_plan`` (the default) the compiled-plan table is appended
-    to the report.  Note that while the tracer is *collecting*, planned
-    conv steps delegate back to ``executor.run`` so the per-phase span
-    breakdown stays complete — the plan table will therefore count those
-    dispatches as re-evaluated, not frozen; the hit/compile traffic is
-    still representative.  ``use_plan=False`` (``--no-plan``) profiles
-    the legacy per-call path.
+    to the report, and the per-phase spans time the planned conv steps
+    that serve (they run the executor's own kernel).
+    ``use_plan=False`` (``--no-plan``) profiles the legacy per-call path.
     """
     import time as _time
 

@@ -193,6 +193,62 @@ class TestDispatchPolicy:
             gemm.pgemm(np.ones((4, 5)), np.ones((6, 4)))
 
 
+class TestOneRoute:
+    """pgemm, a plan's GemmDispatch and a DispatchGroup share route()."""
+
+    @pytest.mark.parametrize(
+        "shape,dtype,kind",
+        [
+            ("conv", np.float64, "rows"),
+            ("conv", np.float32, "rows"),
+            ((64, 64, 64), np.float64, "direct"),       # under the block floor
+            ((1, 4096, 1024), np.float64, "direct"),    # fc, one image
+            ((3, 1152, 1000), np.float64, "direct"),    # fc, short m / wide n
+            ((96, 64, 32), np.int64, "direct"),         # not a BLAS dtype
+        ],
+    )
+    def test_entry_points_take_the_same_route(self, shape, dtype, kind):
+        tune = _verified_parallel()
+        if shape == "conv":
+            shape = (_rows_for(tune, 576, 64), 576, 64)
+        m, k, n = shape
+        assert gemm.route(m, k, n, dtype).kind == kind
+        rng = np.random.default_rng(21)
+        a = (rng.standard_normal((m, k)) * 8).astype(dtype)
+        b = (rng.standard_normal((k, n)) * 8).astype(dtype)
+        expected = a @ b
+        entry_points = {
+            "pgemm": gemm.pgemm,
+            "plan_gemm": gemm.plan_gemm(m, k, n, dtype).run,
+            "group": gemm.DispatchGroup().gemm,
+        }
+        for label, fn in entry_points.items():
+            before = gemm.stats()
+            assert np.array_equal(fn(a, b), expected), label
+            after = gemm.stats()
+            pooled = after.pooled_calls - before.pooled_calls
+            direct = after.direct_calls - before.direct_calls
+            assert (pooled, direct) == ((1, 0) if kind == "rows" else (0, 1)), label
+
+    def test_plan_routes_follow_later_configure(self):
+        """A plan's dispatch and group read the live pool width: after
+        configure(threads=1) nothing pools (no pool rebuild churn)."""
+        gemm.configure(threads=2, min_flops=1, min_block_mnk=1)
+        dispatch = gemm.plan_gemm(64, 32, 16, np.float64)
+        group = gemm.DispatchGroup()
+        assert dispatch.kind == "rows"
+        gemm.configure(threads=1)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((64, 32))
+        b = rng.standard_normal((32, 16))
+        gemm.reset_stats()
+        dispatch.run(a, b)
+        group.gemm(a, b)
+        s = gemm.stats()
+        assert s.pooled_calls == 0
+        assert s.direct_calls == s.calls == 2
+
+
 class TestConfiguration:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GEMM_THREADS", "3")

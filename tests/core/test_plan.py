@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import QuantizedInferenceEngine
+from repro.core.plan import MaxPoolStep, PlannedConvStep
 from repro.core.schemes import odq_scheme
 from repro.nn.layers import (
     Conv2d,
@@ -23,6 +24,7 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
+from repro.nn.tensor import Tensor
 
 SIZE = 12  # input spatial size; small on purpose (many engines built here)
 
@@ -56,6 +58,19 @@ def _batch(n: int, seed: int = 42) -> np.ndarray:
     return np.random.default_rng(seed).normal(0.0, 1.0, size=(n, 2, SIZE, SIZE))
 
 
+def _count_step_runs(monkeypatch) -> list:
+    """Record the layer of every PlannedConvStep.run call from now on."""
+    calls: list = []
+    original = PlannedConvStep.run
+
+    def spy(self, x):
+        calls.append(self.ex.info.name)
+        return original(self, x)
+
+    monkeypatch.setattr(PlannedConvStep, "run", spy)
+    return calls
+
+
 def _planned_vs_unplanned(engine, x) -> tuple[np.ndarray, np.ndarray]:
     engine.use_plan = False
     ref = engine.infer(x)
@@ -82,21 +97,80 @@ class TestPlannedBitExactness:
         assert stats["compiles"] >= 1
 
     @pytest.mark.parametrize("exec_path", ["auto", "dense", "sparse"])
-    def test_exec_path_grid(self, exec_path):
+    def test_exec_path_grid(self, exec_path, monkeypatch):
         engine = _calibrated_engine(_conv_net(1, 1, True), exec_path=exec_path)
         try:
             x = _batch(4)
             out, ref = _planned_vs_unplanned(engine, x)
             assert np.array_equal(out, ref)
             # A second planned run executes the compiled steps (the
-            # compile's traced call doubles as the first inference), and
-            # it must actually take the frozen fast path, not delegate.
+            # compile's traced call doubles as the first inference).
+            step_runs = _count_step_runs(monkeypatch)
             again = engine.infer(x)
             assert np.array_equal(again, ref)
             plans = engine.plan_stats()["plans"]
             assert plans and plans[0]["mode"] == "flat"
             assert plans[0]["fast_conv_steps"] == plans[0]["conv_steps"] == 2
-            assert plans[0]["dispatch_frozen"] > 0
+            assert step_runs == list(engine.executors)
+        finally:
+            engine.restore()
+
+    @pytest.mark.parametrize("exec_path", ["auto", "dense", "sparse"])
+    def test_planned_records_equal_unplanned(self, exec_path):
+        """The planned conv steps keep every record field the unplanned
+        executor keeps, with identical values."""
+        engines = [
+            _calibrated_engine(_conv_net(1, 1, True), exec_path=exec_path)
+            for _ in range(2)
+        ]
+        planned, unplanned = engines
+        unplanned.use_plan = False
+        try:
+            for engine in engines:
+                engine.reset_records()
+                for n, seed in ((4, 1), (4, 2), (3, 3), (4, 1)):
+                    engine.infer(_batch(n, seed=seed))
+            assert planned.plan_stats()["hits"] >= 2
+            for name, rec in planned.records.items():
+                ref = unplanned.records[name]
+                assert rec.sensitive_total == ref.sensitive_total
+                assert rec.outputs_total == ref.outputs_total
+                assert np.array_equal(rec.per_channel_sensitive,
+                                      ref.per_channel_sensitive)
+                assert rec.last_mask is not None
+                assert np.array_equal(rec.last_mask.mask, ref.last_mask.mask)
+                assert rec.macs == ref.macs
+                exec_keys = {k for k in ref.extra if k.startswith("exec_")}
+                assert exec_keys
+                assert {k for k in rec.extra if k.startswith("exec_")} == exec_keys
+                for key in exec_keys:
+                    assert rec.extra[key] == ref.extra[key], key
+        finally:
+            for engine in engines:
+                engine.restore()
+
+    def test_traced_plan_runs_compiled_steps(self, monkeypatch):
+        """Tracing does not switch code paths: a traced planned engine
+        runs its compiled conv steps, each emitting the odq.* spans, and
+        returns the untraced planned output."""
+        from repro.obs import trace
+
+        engine = _calibrated_engine(_conv_net(1, 1, True))
+        try:
+            x = _batch(4)
+            engine.infer(x)  # compile
+            ref = engine.infer(x)
+            step_runs = _count_step_runs(monkeypatch)
+            with trace.collect(reset=True):
+                out = engine.infer(x)
+                spans = trace.spans()
+            assert np.array_equal(out, ref)
+            assert step_runs == list(engine.executors)
+            for layer in step_runs:
+                names = {s.name for s in spans if s.attrs.get("layer") == layer}
+                assert {"odq.run", "odq.quantize", "odq.predict_partial",
+                        "odq.mask", "odq.full_result"} <= names
+            assert sum(s.name == "odq.run" for s in spans) == 2
         finally:
             engine.restore()
 
@@ -133,6 +207,29 @@ class TestPlannedBitExactness:
             assert plans and plans[0]["mode"] == "graph"
         finally:
             engine.restore()
+
+
+@pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 3)])
+def test_maxpool_step_picks_the_argmax_element(kernel, stride):
+    """The plan's max-pool returns the element the Tensor op's
+    first-argmax gather returns, bit for bit: -0.0/0.0 ties keep the
+    earlier element and the first NaN wins."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 3, 9, 9))
+    x = x * (x > 0)  # ReLU output: -0.0 where x < 0
+    x[0, 0, :3, :3] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]
+    x[0, 1, :3, :3] = -0.0
+    x[0, 1, 1, 1] = 0.0
+    x[1, 2, 0, 1] = np.nan
+    x[1, 2, 1, 0] = -np.nan
+    x[1, 2, 4, 4] = np.nan
+    # Conv outputs reach the pool as NCHW views of NHWC memory.
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    module = MaxPool2d(kernel, stride)
+    ref = module(Tensor(x)).data
+    out = MaxPoolStep(module, x.shape).run(x)
+    assert out.shape == ref.shape
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
 class TestPlanLifecycle:
