@@ -23,7 +23,6 @@ CONFIG = ServeConfig(
     train_epochs=0,
     calib_images=64,
     max_batch_size=8,
-    max_wait_ms=2.0,
     workers=2,
 )
 
@@ -35,7 +34,7 @@ def test_serve_throughput(benchmark, emit):
     # Benchmark the serving hot path: a full micro-batch through the pool.
     images = [session.sample_inputs[i % len(session.sample_inputs)][None]
               for i in range(CONFIG.max_batch_size)]
-    batcher = MicroBatcher(max_batch_size=CONFIG.max_batch_size, max_wait_ms=1.0)
+    batcher = MicroBatcher(max_batch_size=CONFIG.max_batch_size)
     pool = WorkerPool(session, batcher, metrics=MetricsRegistry(),
                       num_workers=CONFIG.workers)
     with pool:

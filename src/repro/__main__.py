@@ -192,7 +192,6 @@ def _serve_config_from_args(args) -> "ServeConfig":  # noqa: F821 — lazy impor
         exec_path=args.exec_path,
         use_plan=not args.no_plan,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
         replicas=_resolve_replicas(args.replicas),
         gemm_threads=args.gemm_threads,
@@ -234,8 +233,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                              "layer call from the sensitive-row fraction)")
     parser.add_argument("--max-batch-size", type=int, default=8,
                         help="micro-batch coalescing cap (images)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="max time a batch is held open for more requests")
     parser.add_argument("--workers", type=int, default=2,
                         help="engine worker threads (ignored when --replicas > 1)")
     parser.add_argument("--replicas", default="1", metavar="N|auto",

@@ -2,11 +2,13 @@
 
 The quantized engine's cost is dominated by per-call fixed overhead
 (im2col set-up, bit-plane GEMM dispatch), so running one image at a time
-wastes most of the hardware.  The :class:`MicroBatcher` implements the
-classic serving trade-off: hold an open batch for at most ``max_wait_ms``
-while more requests arrive, dispatch as soon as ``max_batch_size`` images
-are queued, and split the stacked output rows back to per-request
-futures.
+wastes most of the hardware.  The :class:`MicroBatcher` never holds a
+request back waiting for company: a worker that asks for work takes up
+to ``max_batch_size`` images of whatever is queued at that moment, in
+FIFO order, and the stacked output rows are split back to per-request
+futures.  Requests that arrive while every worker is busy queue up and
+so still coalesce into the next batch; an idle worker serves a lone
+request at once.
 
 Thread model: any number of producer threads call :meth:`submit`; worker
 threads call :meth:`next_batch` which blocks on a condition variable.
@@ -97,26 +99,20 @@ class MicroBatch:
 
 
 class MicroBatcher:
-    """Thread-safe request queue with time/size-bounded coalescing.
+    """Thread-safe request queue with size-bounded coalescing.
 
     Parameters
     ----------
     max_batch_size:
-        Dispatch as soon as this many images are queued.
-    max_wait_ms:
-        A worker that already holds at least one request waits at most
-        this long for the batch to fill before dispatching it.
+        Most images one batch takes from the queue (a single request
+        larger than this still rides alone).
     """
 
-    def __init__(self, max_batch_size: int = 8, max_wait_ms: float = 2.0):
+    def __init__(self, max_batch_size: int = 8):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self._queue: deque[_Request] = deque()
-        self._queued_images = 0
         self._cond = threading.Condition()
         self._closed = False
         self.submitted = 0   #: total requests accepted
@@ -145,7 +141,6 @@ class MicroBatcher:
             if self._closed:
                 raise BatcherClosed("batcher is shut down")
             self._queue.append(req)
-            self._queued_images += req.n
             self.submitted += 1
             self._cond.notify()
         return req.future
@@ -155,9 +150,9 @@ class MicroBatcher:
     def next_batch(self, timeout: float | None = None) -> MicroBatch | None:
         """Block until a micro-batch is ready; ``None`` on shutdown/timeout.
 
-        Coalescing policy: wait (up to ``timeout``) for the first request;
-        then keep the batch open for at most ``max_wait_ms`` or until
-        ``max_batch_size`` images are queued, whichever comes first.
+        Coalescing policy: wait (up to ``timeout``) for the first request,
+        then take, without waiting further, the queued requests that fit
+        in ``max_batch_size`` images.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -169,21 +164,6 @@ class MicroBatcher:
                     return None
                 self._cond.wait(remaining)
 
-            hold_until = time.monotonic() + self.max_wait_ms / 1000.0
-            while (
-                self._queued_images < self.max_batch_size
-                and not self._closed
-            ):
-                remaining = hold_until - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-
-            if not self._queue:
-                # A concurrent shutdown() drained the queue while we were
-                # holding the batch open — nothing left to serve.
-                return None
-
             requests: list[_Request] = []
             images = 0
             while self._queue and images < self.max_batch_size:
@@ -194,7 +174,6 @@ class MicroBatcher:
                     break
                 requests.append(self._queue.popleft())
                 images += nxt.n
-            self._queued_images -= images
             self.dispatched += 1
             if self._queue:
                 self._cond.notify()  # leftovers: wake another worker
@@ -210,7 +189,6 @@ class MicroBatcher:
             self._closed = True
             pending = list(self._queue)
             self._queue.clear()
-            self._queued_images = 0
             self._cond.notify_all()
         exc = BatcherClosed("batcher shut down with requests still queued")
         for req in pending:

@@ -224,9 +224,7 @@ def run_batched(
     # The cached path above ran on session.engine, which becomes worker
     # 0; start from clean records so the census covers only this run.
     session.engine.reset_records()
-    batcher = MicroBatcher(
-        max_batch_size=config.max_batch_size, max_wait_ms=config.max_wait_ms
-    )
+    batcher = MicroBatcher(max_batch_size=config.max_batch_size)
     pool = WorkerPool(
         session, batcher, metrics=MetricsRegistry(), num_workers=config.workers
     )

@@ -48,10 +48,9 @@ class ServeConfig:
     Batching
     --------
     max_batch_size:
-        Upper bound on coalesced micro-batch size.
-    max_wait_ms:
-        How long the batcher holds an open batch waiting for more
-        requests before dispatching it anyway.
+        Upper bound on coalesced micro-batch size.  The batcher never
+        holds a request waiting for company; see
+        :mod:`repro.serve.batcher`.
 
     Workers / HTTP
     --------------
@@ -100,7 +99,6 @@ class ServeConfig:
     seed: int = DEFAULT_SEED
 
     max_batch_size: int = 8
-    max_wait_ms: float = 2.0
 
     workers: int = 2
     replicas: int = 1
@@ -117,11 +115,6 @@ class ServeConfig:
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0 (milliseconds to hold an open "
-                f"batch), got {self.max_wait_ms}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")

@@ -20,6 +20,17 @@ request is submitted to the active backend and the handler thread blocks
 on its future — ``ThreadingHTTPServer`` gives us one thread per in-flight
 request, which is exactly the producer model the backends expect.
 
+Every response leaves in one ``sendall`` (status line, headers and body
+together) on a ``TCP_NODELAY`` socket, so no response waits out the
+client's delayed ACK.  The edge rejects what the engine must never see:
+a ``Content-Length`` that is not a non-negative integer (400) or above
+:data:`MAX_BODY_BYTES` (413, body left unread; both close the
+connection), and non-finite pixels (400).
+
+The ``e2e_ms`` histogram times each answered ``/predict`` from
+``do_POST`` entry until its response is written; the response's
+``latency_ms`` runs from the same start until the logits are ready.
+
 During shutdown the server *drains*: ``/predict`` (and ``/healthz``)
 answer **503** while requests already accepted finish on the workers.
 """
@@ -42,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Seconds a /predict handler waits on its future before giving up.
 PREDICT_TIMEOUT_SECONDS = 60.0
 
+#: Largest request body /predict reads (bytes); larger ones answer 413.
+#: 16 MiB of JSON is about 800k pixels, ~1000 MNIST or ~260 CIFAR images.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class ServingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying a reference to the serving app."""
@@ -58,6 +73,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     server: ServingHTTPServer  # narrowed type
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -65,21 +81,21 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if self.server.app.verbose:
             super().log_message(fmt, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, body: bytes, content_type: str, status: int, close: bool) -> None:
+        """Write status line, headers and body with one ``sendall``."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if close:
+            self.send_header("Connection", "close")
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
+    def _send_json(self, payload: dict, status: int = 200, close: bool = False) -> None:
+        self._send(json.dumps(payload).encode(), "application/json", status, close)
 
     def _send_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(text.encode(), "text/plain; charset=utf-8", status, False)
 
     # -- GET ----------------------------------------------------------------
 
@@ -119,6 +135,7 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     # -- POST ---------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib API
+        t0 = time.perf_counter()
         if self.path != "/predict":
             self._send_json({"error": f"no such endpoint {self.path!r}"}, 404)
             return
@@ -128,22 +145,47 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             # connection error.
             self._send_json({"error": "server is draining"}, 503)
             return
+        length = self._body_length()
+        if length is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json({"error": f"bad JSON body: {exc}"}, 400)
             return
         try:
-            response = self._predict(payload)
+            response = self._predict(payload, t0)
         except _ClientError as exc:
             self._send_json({"error": str(exc)}, 400)
         except Exception as exc:  # noqa: BLE001 — surfaced as HTTP 500
             self._send_json({"error": f"{type(exc).__name__}: {exc}"}, 500)
         else:
             self._send_json(response)
+            self.server.app.metrics.histogram(
+                "e2e_ms", "end-to-end /predict latency"
+            ).observe((time.perf_counter() - t0) * 1000.0)
 
-    def _predict(self, payload: dict) -> dict:
+    def _body_length(self) -> int | None:
+        """The request's ``Content-Length``, or ``None`` once refused.
+
+        A refused body is never read, so the refusal closes the
+        connection instead of parsing the unread bytes as a request.
+        """
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_json({"error": f"bad Content-Length {raw!r}"}, 400, close=True)
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"},
+                413,
+                close=True,
+            )
+            return None
+        return length
+
+    def _predict(self, payload: dict, t0: float) -> dict:
         app = self.server.app
         if not isinstance(payload, dict):
             raise _ClientError("request body must be a JSON object")
@@ -162,12 +204,13 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
                 f"expected images of shape {tuple(expected)} "
                 f"(got array of shape {arr.shape})"
             )
+        if not np.isfinite(arr).all():
+            raise _ClientError("inputs must be finite (got NaN or Inf)")
 
         affinity = payload.get("session")
         if affinity is not None and not isinstance(affinity, str):
             raise _ClientError('"session" (replica affinity key) must be a string')
 
-        t0 = time.perf_counter()
         # Mint the request's trace context here — the outermost point
         # that knows the request — and hand it to the backend so worker
         # threads and replica processes parent under this span.
@@ -177,9 +220,6 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             future = app.submit(arr, affinity=affinity, ctx=ctx)
             logits = future.result(timeout=PREDICT_TIMEOUT_SECONDS)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        app.metrics.histogram("e2e_ms", "end-to-end /predict latency").observe(
-            elapsed_ms
-        )
 
         response = {
             "predictions": [int(i) for i in logits.argmax(axis=1)],
@@ -195,4 +235,9 @@ class _ClientError(ValueError):
     """A 400-class request problem."""
 
 
-__all__ = ["ServingHTTPServer", "ServeRequestHandler", "PREDICT_TIMEOUT_SECONDS"]
+__all__ = [
+    "ServingHTTPServer",
+    "ServeRequestHandler",
+    "PREDICT_TIMEOUT_SECONDS",
+    "MAX_BODY_BYTES",
+]

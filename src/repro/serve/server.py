@@ -102,10 +102,7 @@ class InferenceServer:
                 collector=self.collector,
             )
         else:
-            self.batcher = MicroBatcher(
-                max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.max_wait_ms,
-            )
+            self.batcher = MicroBatcher(max_batch_size=self.config.max_batch_size)
             self.pool = WorkerPool(
                 self.session,
                 self.batcher,

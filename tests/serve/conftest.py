@@ -22,7 +22,6 @@ def serve_config() -> ServeConfig:
         train_epochs=0,
         calib_images=32,
         max_batch_size=8,
-        max_wait_ms=2.0,
         workers=2,
         port=0,
     )

@@ -36,7 +36,7 @@ class TestSubmit:
 
 class TestCoalescing:
     def test_coalesces_up_to_max_batch_size(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_ms=50)
+        b = MicroBatcher(max_batch_size=4)
         for i in range(6):
             b.submit(_img(i))
         first = b.next_batch(timeout=1)
@@ -47,24 +47,28 @@ class TestCoalescing:
         np.testing.assert_array_equal(first.stack()[0], _img(0))
         np.testing.assert_array_equal(second.stack()[0], _img(4))
 
-    def test_max_wait_dispatches_partial_batch(self):
-        b = MicroBatcher(max_batch_size=64, max_wait_ms=10)
-        b.submit(_img())
-        t0 = time.perf_counter()
-        batch = b.next_batch(timeout=1)
-        elapsed = time.perf_counter() - t0
-        assert batch.size == 1
-        assert elapsed < 0.5  # waited ~max_wait_ms, not the full timeout
+    def test_lone_request_dispatches_at_once(self):
+        # A worker asking for work takes what is queued without holding
+        # the batch open for company.
+        b = MicroBatcher(max_batch_size=64)
+        elapsed = []
+        for _ in range(5):
+            b.submit(_img())
+            t0 = time.perf_counter()
+            batch = b.next_batch(timeout=1)
+            elapsed.append(time.perf_counter() - t0)
+            assert batch.size == 1
+        assert min(elapsed) < 0.5e-3
 
     def test_oversize_request_rides_alone(self):
-        b = MicroBatcher(max_batch_size=2, max_wait_ms=1)
+        b = MicroBatcher(max_batch_size=2)
         b.submit(np.zeros((5, *IMG)))  # bigger than the cap
         batch = b.next_batch(timeout=1)
         assert batch.size == 5
         assert len(batch.requests) == 1
 
     def test_never_splits_a_request_across_batches(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_ms=1)
+        b = MicroBatcher(max_batch_size=4)
         b.submit(np.zeros((3, *IMG)))
         b.submit(np.zeros((3, *IMG)))
         first = b.next_batch(timeout=1)
@@ -77,7 +81,7 @@ class TestCoalescing:
 
 class TestCompletion:
     def test_results_split_back_per_request(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_ms=5)
+        b = MicroBatcher(max_batch_size=8)
         f1 = b.submit(np.zeros((2, *IMG)))
         f2 = b.submit(np.zeros((1, *IMG)))
         batch = b.next_batch(timeout=1)
@@ -95,7 +99,7 @@ class TestCompletion:
             fut.result(timeout=1)
 
     def test_fail_propagates_to_all_futures(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_ms=5)
+        b = MicroBatcher(max_batch_size=8)
         futures = [b.submit(_img()) for _ in range(3)]
         batch = b.next_batch(timeout=1)
         batch.fail(RuntimeError("engine exploded"))
@@ -104,7 +108,7 @@ class TestCompletion:
                 fut.result(timeout=1)
 
     def test_queue_waits_are_nonnegative(self):
-        b = MicroBatcher(max_wait_ms=1)
+        b = MicroBatcher()
         b.submit(_img())
         batch = b.next_batch(timeout=1)
         assert all(w >= 0 for w in batch.queue_waits())
@@ -144,7 +148,7 @@ class TestTraceContexts:
     def test_contexts_ride_along_in_submit_order(self):
         from repro.obs.trace import TraceContext
 
-        b = MicroBatcher(max_batch_size=8, max_wait_ms=1)
+        b = MicroBatcher(max_batch_size=8)
         c1 = TraceContext("a" * 16, 1, "main")
         c2 = TraceContext("b" * 16, 2, "main")
         b.submit(_img(), ctx=c1)
@@ -158,7 +162,7 @@ class TestTraceContexts:
     def test_duplicate_context_listed_once(self):
         from repro.obs.trace import TraceContext
 
-        b = MicroBatcher(max_batch_size=8, max_wait_ms=1)
+        b = MicroBatcher(max_batch_size=8)
         ctx = TraceContext("c" * 16, 3, "main")
         b.submit(_img(), ctx=ctx)
         b.submit(_img(), ctx=ctx)
@@ -166,6 +170,6 @@ class TestTraceContexts:
         assert batch.trace_contexts() == [ctx]
 
     def test_no_contexts_gives_empty_list(self):
-        b = MicroBatcher(max_batch_size=2, max_wait_ms=1)
+        b = MicroBatcher(max_batch_size=2)
         b.submit(_img())
         assert b.next_batch(timeout=1).trace_contexts() == []

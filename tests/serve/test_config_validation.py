@@ -24,7 +24,7 @@ class TestValueErrors:
         "kwargs,needle",
         [
             ({"max_batch_size": 0}, "max_batch_size"),
-            ({"max_wait_ms": -1.0}, "max_wait_ms"),
+            ({"drift_band": 0.0}, "drift_band"),
             ({"workers": 0}, "workers"),
             ({"replicas": 0}, "replicas"),
             ({"gemm_threads": 0}, "gemm_threads"),

@@ -26,7 +26,6 @@ def _forced_path_config(exec_path: str) -> ServeConfig:
         train_epochs=0,
         calib_images=16,
         max_batch_size=4,
-        max_wait_ms=1.0,
         workers=1,
         port=0,
         exec_path=exec_path,
@@ -49,7 +48,7 @@ class TestExecPathHonored:
 
 class TestCensusGauges:
     def _drive(self, session, n: int = 6):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_ms=1.0)
+        batcher = MicroBatcher(max_batch_size=4)
         metrics = MetricsRegistry()
         pool = WorkerPool(session, batcher, metrics=metrics, num_workers=2)
         session.engine.reset_records()

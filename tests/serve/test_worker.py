@@ -12,7 +12,7 @@ from repro.serve.worker import WorkerPool
 
 def _drive(session, n_requests: int, workers: int = 2, max_batch: int = 4):
     """Push n single-image requests through a fresh pool; return artifacts."""
-    batcher = MicroBatcher(max_batch_size=max_batch, max_wait_ms=2)
+    batcher = MicroBatcher(max_batch_size=max_batch)
     metrics = MetricsRegistry()
     pool = WorkerPool(session, batcher, metrics=metrics, num_workers=workers)
     with pool:
@@ -32,12 +32,14 @@ class TestDispatch:
             assert rows.shape == (1, session.num_classes)
 
     def test_results_match_direct_engine_outputs(self, session):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_ms=2)
+        batcher = MicroBatcher(max_batch_size=4)
         pool = WorkerPool(session, batcher, metrics=MetricsRegistry(), num_workers=1)
         x = session.sample_inputs[:3]
         expected = session.engine.infer(x)
+        # Queued before the worker starts, so the three form one batch:
+        # activation ranges are per batch, so outputs depend on its makeup.
+        futures = [batcher.submit(x[i][None]) for i in range(3)]
         with pool:
-            futures = [batcher.submit(x[i][None]) for i in range(3)]
             got = np.concatenate([f.result(timeout=30) for f in futures])
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
@@ -59,7 +61,7 @@ class TestDispatch:
         assert all(0.0 <= v <= 1.0 for v in sens.values())
 
     def test_bad_input_fails_future_not_worker(self, session):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_ms=1)
+        batcher = MicroBatcher(max_batch_size=4)
         pool = WorkerPool(session, batcher, metrics=MetricsRegistry(), num_workers=1)
         with pool:
             bad = batcher.submit(np.zeros((1, 7, 9, 9)))  # wrong shape

@@ -78,12 +78,12 @@ class TestServeArgs:
 
         args = build_parser().parse_args(
             ["serve", "--model", "lenet", "--scheme", "odq",
-             "--threshold", "0.4", "--port", "0", "--max-wait-ms", "1.5"]
+             "--threshold", "0.4", "--port", "0", "--max-batch-size", "4"]
         )
         cfg = _serve_config_from_args(args)
         assert cfg.threshold == 0.4
         assert cfg.port == 0
-        assert cfg.max_wait_ms == 1.5
+        assert cfg.max_batch_size == 4
 
 
 @pytest.mark.parametrize("name", ["lenet", "lenet5"])
