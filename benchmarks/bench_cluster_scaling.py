@@ -4,10 +4,10 @@ Measures :class:`repro.cluster.ClusterPool` throughput on a fixed
 mixed-size request set at 1, 2, and 4 replica processes.  Timing is
 interleaved min-of-N: every round times every replica count once, so
 machine-load spikes hit all configurations equally, and the minimum over
-rounds is the least-biased cost estimate.  The BLAS and the in-tree GEMM
-pool are both pinned to 1 thread (env pins before numpy loads;
-``gemm_threads=1`` in the ServeConfig the replicas inherit) so replica
-*processes* are the only source of parallelism being measured.
+rounds is the least-biased cost estimate.  The BLAS is pinned to 1
+thread (env pins before numpy loads) and every GEMM runs on the thread
+that issues it, so replica *processes* are the only source of
+parallelism being measured.
 
 Artefacts: ``BENCH_cluster_scaling.json`` at the repo root (CI uploads
 it) and ``results/cluster_scaling.txt``.  ``--check`` enforces the PR
@@ -66,7 +66,6 @@ def _serve_config(replicas: int):
         calib_images=32,
         max_batch_size=MAX_BATCH,
         replicas=replicas,
-        gemm_threads=1,
         port=0,
     )
 
@@ -179,7 +178,7 @@ def run(check: bool = False, repeats: int = 3) -> int:
         title=(
             f"cluster replica scaling — {N_REQUESTS} mixed-size requests, "
             f"{total_images} images (min of {repeats}, interleaved; "
-            "BLAS + GEMM pool pinned to 1 thread)"
+            "BLAS pinned to 1 thread)"
         ),
     )
     summary = [

@@ -6,8 +6,8 @@ tracer enabled and a :class:`repro.obs.collector.TelemetryCollector`
 attached, one with tracing off — and compares throughput.  Timing is
 interleaved min-of-N (every round times both pools once, tracing toggled
 in the submitting process to match each pool's replicas) so load spikes
-hit both configurations equally.  BLAS and the in-tree GEMM pool are
-pinned to 1 thread, as in ``bench_cluster_scaling.py``.
+hit both configurations equally.  The BLAS is pinned to 1 thread, as
+in ``bench_cluster_scaling.py``.
 
 Artefacts: ``BENCH_cluster_trace_overhead.json`` at the repo root,
 ``results/cluster_trace_overhead.txt``, and
@@ -70,7 +70,6 @@ def _serve_config():
         calib_images=32,
         max_batch_size=MAX_BATCH,
         replicas=REPLICAS,
-        gemm_threads=1,
         port=0,
     )
 
@@ -223,7 +222,7 @@ def run(check: bool = False, repeats: int = 3) -> int:
         title=(
             f"cluster tracing overhead — {REPLICAS} replicas, "
             f"{N_REQUESTS} mixed-size requests, {total_images} images "
-            f"(min of {repeats}, interleaved; BLAS + GEMM pool pinned)"
+            f"(min of {repeats}, interleaved; BLAS pinned)"
         ),
     )
     summary = [

@@ -107,7 +107,6 @@ def _cmd_profile(args) -> int:
         calib_images=args.calib_images,
         train_epochs=args.train_epochs,
         exec_path=args.exec_path,
-        gemm_threads=args.gemm_threads,
         use_plan=not args.no_plan,
     )
     console(result.render())
@@ -194,7 +193,6 @@ def _serve_config_from_args(args) -> "ServeConfig":  # noqa: F821 — lazy impor
         max_batch_size=args.max_batch_size,
         workers=args.workers,
         replicas=_resolve_replicas(args.replicas),
-        gemm_threads=args.gemm_threads,
         host=args.host,
         port=args.port,
         drift_band=args.drift_band,
@@ -239,10 +237,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                         help="engine replica processes (repro.cluster); 1 = "
                              "in-process thread pool, 'auto' = one per usable "
                              "core (sched_getaffinity, capped at 8)")
-    parser.add_argument("--gemm-threads", type=int, default=None,
-                        help="process-wide GEMM pool width (default: "
-                             "REPRO_GEMM_THREADS or min(cpu, 8); 1 disables "
-                             "intra-op parallelism; shared by all workers)")
     parser.add_argument("--no-plan", action="store_true",
                         help="disable compiled inference plans "
                              "(repro.core.plan); run the legacy per-call "
@@ -435,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--exec-path", choices=["auto", "dense", "sparse"],
                         default="auto",
                         help="ODQ result-generation path (auto|dense|sparse)")
-    p_prof.add_argument("--gemm-threads", type=int, default=None,
-                        help="process-wide GEMM pool width for the profiled "
-                             "run (1 disables intra-op parallelism)")
     p_prof.add_argument("--no-plan", action="store_true",
                         help="profile the legacy per-call path instead of "
                              "the compiled inference plan")

@@ -2,7 +2,7 @@
 
 The codebase's correctness rests on invariants that used to live only in
 comments: bit-plane GEMMs carry exact integers in float64 and every GEMM
-routes through the one module that *verifies* that exactness
+routes through the one entry point whose operands the dtype flow checks
 (:mod:`repro.core.gemm`); process-wide singletons are lock-guarded and
 fork-safe; all output flows through :mod:`repro.obs`; reductions over
 masked selections guard against emptiness.  This package turns those

@@ -22,7 +22,7 @@ Lock canonicalization
 ---------------------
 Locks are named so the same object gets the same token everywhere:
 
-* module-level lock -> ``<module>.<name>`` (``repro.core.gemm._state_lock``)
+* module-level lock -> ``<module>.<name>`` (``repro.core.gemm._stats_lock``)
 * ``self._lock`` in class C -> ``<module>.<C>._lock`` (all instances of a
   class share a token — exact for the process-wide singletons the THR
   rules guard, an over-approximation for multi-instance classes)

@@ -3,10 +3,10 @@
 Invariant (``src/repro/core/odq.py`` / ``colcache.py``): bit-plane GEMM
 operands carry *exact* integers in float64, and every partial product
 stays far below 2**53, so the float64 GEMM is exact regardless of
-summation order.  That exactness floor is **verified in exactly one
-place** — :mod:`repro.core.gemm` — which is why every GEMM must route
-through :func:`repro.core.gemm.pgemm` and why nothing may silently
-narrow a quantized array's dtype.
+summation order.  Every GEMM goes through **one entry point** —
+:func:`repro.core.gemm.pgemm` — the sink DTY110's dtype flow watches,
+which is why no GEMM may bypass it and why nothing may silently narrow
+a quantized array's dtype.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ def _narrow_dtype_arg(arg: ast.AST) -> str | None:
     severity=Severity.ERROR,
     summary="GEMM call site not routed through repro.core.gemm.pgemm",
     invariant=(
-        "repro.core.gemm is the only module whose per-block exactness "
-        "floor is empirically verified against the BLAS; a raw `a @ b` "
-        "or np.matmul elsewhere bypasses that verification (and the "
-        "pool, and the gemm.pool spans)."
+        "repro.core.gemm.pgemm is the one GEMM entry point: the sink "
+        "DTY110's dtype flow watches and the call the end-to-end "
+        "benchmark's launcher times.  A raw `a @ b` or np.matmul "
+        "elsewhere is invisible to both."
     ),
     exempt_paths=("repro/core/gemm.py",),
 )
@@ -75,8 +75,7 @@ def check_unrouted_gemm(ctx: FileContext) -> Iterator[Finding]:
             yield ctx.finding(
                 "DTY101", node,
                 f"`{call_name(node)}` call site — route through "
-                "repro.core.gemm.pgemm so the verified exactness floor "
-                "and the pool apply",
+                "repro.core.gemm.pgemm, the one GEMM entry point",
             )
 
 

@@ -2,15 +2,15 @@
 
 Invariants (``src/repro/core/gemm.py``, ``repro/obs/log.py``,
 ``repro/serve/``, ``repro/cluster/``): process-wide singletons — the
-GEMM pool, the logging config, metric registries, session caches — are
-shared across serving worker threads.  Every mutation of module-level
-mutable state must happen under its owning lock, every manual
-``acquire`` must have a guaranteed ``release``, any module-level thread
-pool must rebuild itself after ``fork`` (the PID-keyed pattern the gemm
-pool uses), and every ``multiprocessing.shared_memory`` segment must
-have a guaranteed ``close()``/``unlink()`` path (the
-``repro.cluster.shm`` ownership discipline) — leaked segments survive
-the process in ``/dev/shm``.
+GEMM call counters, the logging config, metric registries, session
+caches — are shared across serving worker threads.  Every mutation of
+module-level mutable state must happen under its owning lock, every
+manual ``acquire`` must have a guaranteed ``release``, any module-level
+thread pool must rebuild itself after ``fork`` (compare ``os.getpid()``
+against the pid recorded at construction), and every
+``multiprocessing.shared_memory`` segment must have a guaranteed
+``close()``/``unlink()`` path (the ``repro.cluster.shm`` ownership
+discipline) — leaked segments survive the process in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _global_rebind(node: ast.AST, tracked: dict[str, int],
     severity=Severity.ERROR,
     summary="module-level mutable state mutated outside a `with <lock>:` block",
     invariant=(
-        "Process-wide singletons (gemm pool stats, logger registry, "
+        "Process-wide singletons (gemm call stats, logger registry, "
         "logging config) are shared by serving worker threads; every "
         "mutation must hold the owning lock, as repro.core.gemm and "
         "repro.obs.log do."
@@ -238,8 +238,9 @@ def check_bare_acquire(ctx: FileContext) -> Iterator[Finding]:
     summary="module-level thread pool without the PID-keyed fork-rebuild pattern",
     invariant=(
         "Worker threads do not survive fork(); a module-global pool must "
-        "detect the PID change and rebuild (see repro.core.gemm._get_pool), "
-        "or forked servers hang on a dead pool."
+        "detect the PID change and rebuild (compare os.getpid() against "
+        "the pid recorded at construction), or forked servers hang on a "
+        "dead pool."
     ),
 )
 def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
@@ -274,7 +275,7 @@ def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
                 "THR203", node,
                 "module-global thread pool built without a PID-keyed "
                 "fork-rebuild guard — compare os.getpid() against the "
-                "pid recorded at construction (see repro.core.gemm)",
+                "pid recorded at construction",
             )
 
 

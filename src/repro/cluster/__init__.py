@@ -25,7 +25,6 @@ from repro.cluster.sizing import (
     autoscale_hint,
     place_chunks,
     predicted_chunk_cost,
-    recommended_gemm_threads,
     recommended_replicas,
     usable_cores,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "slot_floats_for",
     "usable_cores",
     "recommended_replicas",
-    "recommended_gemm_threads",
     "autoscale_hint",
     "place_chunks",
     "predicted_chunk_cost",

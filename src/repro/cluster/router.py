@@ -332,6 +332,9 @@ class ClusterPool:
                 f"expected (n, {', '.join(map(str, self.input_shape))}) input, "
                 f"got shape {arr.shape}"
             )
+        if arr.shape[0] == 0:
+            # No chunk would ever complete the submission's future.
+            raise ValueError("empty batch: expected at least one image")
         if self.closed:
             raise ClusterClosed("cluster pool is shut down")
 

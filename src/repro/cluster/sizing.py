@@ -3,7 +3,7 @@
 Two decisions live here, both deliberately free of I/O so they are unit
 testable and auditable:
 
-* **How many replicas / GEMM threads should this box run?**
+* **How many replicas should this box run?**
   :func:`recommended_replicas` derives the default from
   ``os.sched_getaffinity`` (the *usable* cores — containers routinely
   restrict the affinity mask well below ``os.cpu_count()``), and
@@ -54,12 +54,6 @@ def recommended_replicas(cores: int | None = None) -> int:
     """
     cores = usable_cores() if cores is None else int(cores)
     return max(1, min(cores, MAX_DEFAULT_REPLICAS))
-
-
-def recommended_gemm_threads(replicas: int, cores: int | None = None) -> int:
-    """GEMM pool width per replica keeping ``replicas x threads <= cores``."""
-    cores = usable_cores() if cores is None else int(cores)
-    return max(1, cores // max(1, replicas))
 
 
 def autoscale_hint(busy_fractions: list[float], replicas: int,
@@ -127,7 +121,6 @@ __all__ = [
     "MAX_DEFAULT_REPLICAS",
     "usable_cores",
     "recommended_replicas",
-    "recommended_gemm_threads",
     "autoscale_hint",
     "predicted_chunk_cost",
     "place_chunks",

@@ -5,8 +5,8 @@ The :class:`Supervisor` owns everything whose lifetime matches the
 the per-replica request/response :class:`~repro.cluster.shm.ShmArena`
 pair, the shared :class:`~repro.cluster.shm.ShmStatsBlock`, and the
 process handles.  Replicas are started with the ``spawn`` start method
-— ``fork`` would duplicate the router's threads, locks, and the GEMM
-pool mid-flight (the THR203 class of bugs); spawn gives each replica a
+— ``fork`` would duplicate the router's threads and locks mid-flight
+(the THR203 class of bugs); spawn gives each replica a
 clean interpreter that rebuilds its session deterministically.
 
 A monitor thread watches process liveness.  A replica that exits

@@ -7,8 +7,8 @@ what the unplanned path re-derives on every call:
 * packed weight operands (``PackedConvWeights``) and the 2-D bias,
 * im2col geometry (output H/W, row counts) from the observed input shape,
 * the GEMM shape, bound via :func:`repro.core.gemm.plan_gemm` into a
-  :class:`~repro.core.gemm.GemmDispatch` (routing itself stays live:
-  every call goes through :func:`repro.core.gemm.route`),
+  :class:`~repro.core.gemm.GemmDispatch` (each call is
+  :func:`repro.core.gemm.pgemm`, i.e. ``a @ b``),
 * a shared :class:`~repro.core.gemm.DispatchGroup` as the sparse-row GEMM
   entry point of each run of consecutive sparse-capable conv layers.
 
@@ -223,7 +223,7 @@ class GlobalAvgPoolStep(PlanStep):
 
 
 class LinearStep(PlanStep):
-    """``F.linear`` with the GEMM route frozen by :func:`gemm.plan_gemm`."""
+    """``F.linear`` with the GEMM shape bound by :func:`gemm.plan_gemm`."""
 
     kind = "linear"
 
@@ -253,7 +253,6 @@ class LinearStep(PlanStep):
         return {
             "kind": self.kind,
             "shape": [self.dispatch.m, self.dispatch.k, self.dispatch.n],
-            "dispatch": self.dispatch.kind,
         }
 
 
@@ -373,7 +372,6 @@ class PlannedConvStep(PlanStep):
                 path=self.path_mode,
                 rows=self.rows,
                 row_limit=self.crossover * self.rows if auto else None,
-                dispatch=self.dispatch.kind,
                 sparse_batched=self.sparse_group is not None,
             )
         return d

@@ -15,7 +15,7 @@ from repro.utils.im2col import col2im, conv_output_size, im2col
 
 
 def _pgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-blocked parallel GEMM (see :mod:`repro.core.gemm`).
+    """The one GEMM entry point, ``a @ b`` (see :mod:`repro.core.gemm`).
 
     Imported lazily: ``repro.core``'s package init imports
     ``repro.nn.layers`` (which imports this module), so a module-level

@@ -27,12 +27,12 @@ Array = np.ndarray
 
 
 def _pgemm(a: Array, b: Array) -> Array:
-    """Route 2-D products through the verified GEMM (:mod:`repro.core.gemm`).
+    """Route 2-D products through the one GEMM entry point (:mod:`repro.core.gemm`).
 
     Imported lazily because ``repro.core``'s package init imports
     ``repro.nn`` modules; a module-level import here would cycle.  After
     the first call this is one ``sys.modules`` lookup — negligible next
-    to the GEMM itself, and ``pgemm`` is bit-identical to ``a @ b``.
+    to the GEMM itself, and ``pgemm`` is ``a @ b``.
     """
     from repro.core.gemm import pgemm
 

@@ -147,65 +147,12 @@ class LayerProfile:
         return (other_ms + dense_full_ms) / self.total_ms
 
 
-@dataclass
-class GemmPoolStat:
-    """Aggregate of every ``gemm.pool`` span in the trace.
-
-    One row of the GEMM-parallelism section: how often the row-blocked
-    pool path actually engaged, how wide it ran, and how much work it
-    carried.  GEMMs below the crossover take the direct path and emit
-    no span — their absence from this table *is* the signal that the
-    pool is not mis-firing on small layers.
-    """
-
-    calls: int = 0
-    total_us: float = 0.0
-    blocks: int = 0
-    rows: int = 0
-    flops: int = 0
-    threads: int = 0          #: pool width observed (max across spans)
-    max_blocks: int = 0       #: widest single-call fan-out
-    min_rows_per_block: int = 0
-    max_rows_per_block: int = 0
-
-    def add_span(self, s: SpanRecord) -> None:
-        self.calls += 1
-        self.total_us += s.duration_us
-        self.blocks += int(s.counters.get("blocks", 0)) if s.counters else 0
-        self.rows += int(s.counters.get("rows", 0)) if s.counters else 0
-        self.flops += int(s.counters.get("flops", 0)) if s.counters else 0
-        self.threads = max(self.threads, int(s.attrs.get("threads", 0)))
-        self.max_blocks = max(self.max_blocks, int(s.attrs.get("blocks", 0)))
-        rpb = int(s.attrs.get("rows_per_block", 0))
-        if rpb:
-            self.min_rows_per_block = (
-                rpb if not self.min_rows_per_block
-                else min(self.min_rows_per_block, rpb)
-            )
-            self.max_rows_per_block = max(self.max_rows_per_block, rpb)
-
-    @property
-    def total_ms(self) -> float:
-        return self.total_us / 1000.0
-
-    @property
-    def mean_blocks(self) -> float:
-        return self.blocks / self.calls if self.calls else 0.0
-
-    @property
-    def gflops_rate(self) -> float:
-        """Aggregate pooled throughput in GFLOP/s (wall-clock of the spans)."""
-        sec = self.total_us / 1e6
-        return (self.flops / 1e9) / sec if sec > 0 else 0.0
-
-
 class ProfileReport:
     """Per-layer, per-phase rollup of one traced inference run."""
 
     def __init__(self):
         self.layers: "OrderedDict[str, LayerProfile]" = OrderedDict()
         self.spans: list[SpanRecord] = []
-        self.gemm = GemmPoolStat()
 
     # -- construction --------------------------------------------------------
 
@@ -223,9 +170,6 @@ class ProfileReport:
         report = cls()
         report.spans = list(spans)
         for s in report.spans:
-            if s.name == "gemm.pool":
-                report.gemm.add_span(s)
-                continue
             layer_name = s.attrs.get("layer")
             if layer_name is None:
                 continue
@@ -368,28 +312,6 @@ class ProfileReport:
                 path_rows,
                 title="result generation (dense vs sparse dispatch)",
             ))
-        if self.gemm.calls:
-            g = self.gemm
-            rpb = (
-                f"{g.min_rows_per_block}-{g.max_rows_per_block}"
-                if g.min_rows_per_block != g.max_rows_per_block
-                else f"{g.max_rows_per_block}"
-            )
-            parts.append(ascii_table(
-                ["pooled GEMMs", "threads", "blocks (mean/max)",
-                 "rows/block", "rows", "GFLOP", "pool ms", "GFLOP/s"],
-                [[
-                    g.calls,
-                    g.threads,
-                    f"{g.mean_blocks:.1f}/{g.max_blocks}",
-                    rpb,
-                    f"{g.rows:,}",
-                    f"{g.flops / 1e9:.2f}",
-                    f"{g.total_ms:.3f}",
-                    f"{g.gflops_rate:.2f}",
-                ]],
-                title="GEMM parallelism (row-blocked pool, repro.core.gemm)",
-            ))
         totals = self.phase_totals()
         if totals:
             rows = [[p, f"{t:.3f}", format_percent(t / grand)] for p, t in totals.items()]
@@ -472,7 +394,6 @@ def profile_inference(
     calib_images: int = 32,
     train_epochs: int = 0,
     exec_path: str = "auto",
-    gemm_threads: int | None = None,
     use_plan: bool = True,
     tracer=None,
 ) -> ProfileResult:
@@ -507,7 +428,6 @@ def profile_inference(
         train_epochs=train_epochs,
         calib_images=calib_images,
         exec_path=exec_path,
-        gemm_threads=gemm_threads,
         use_plan=use_plan,
     )
     session = ModelSession(config)
@@ -547,7 +467,6 @@ def profile_inference(
 __all__ = [
     "PHASES",
     "PhaseStat",
-    "GemmPoolStat",
     "LayerProfile",
     "ProfileReport",
     "ProfileResult",

@@ -136,6 +136,8 @@ class MicroBatcher:
             raise ValueError(
                 f"expected (C,H,W) or (N,C,H,W) input, got shape {arr.shape}"
             )
+        if arr.shape[0] == 0:
+            raise ValueError("empty batch: expected at least one image")
         req = _Request(arr, ctx=ctx)
         with self._cond:
             if self._closed:

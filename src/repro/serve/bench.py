@@ -111,11 +111,6 @@ class ServeBenchResult:
                 if self.config.replicas > 1
                 else ""
             )
-            + (
-                f" gemm_threads={self.config.gemm_threads}"
-                if self.config.gemm_threads is not None
-                else ""
-            )
         )
         parts = [ascii_table(
             ["path", "requests", "seconds", "req/s", "vs naive"], rows, title=title

@@ -3,6 +3,11 @@
 One dataclass gathers every tuning knob of the serving stack (session
 build, micro-batching policy, worker pool size, HTTP front end) so the
 CLI, tests, and benchmarks construct servers from the same vocabulary.
+
+Compute parallelism comes from two knobs only: ``workers`` engine
+threads, or ``replicas`` engine processes when ``replicas > 1``.  Each
+GEMM runs on the thread that issues it (:mod:`repro.core.gemm`), so the
+compute lanes are exactly that count.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ class ServeConfig:
         Compile shape-specialized inference plans
         (:mod:`repro.core.plan`) at session warm-up and reuse them per
         batch shape.  ``False`` (the ``--no-plan`` escape hatch) keeps
-        the legacy per-call path.  Like ``gemm_threads``, this changes
-        speed, never results (planned execution is bit-identical), so
-        it is not part of the session identity key.
+        the legacy per-call path.  This changes speed, never results
+        (planned execution is bit-identical), so it is not part of the
+        session identity key.
 
     Batching
     --------
@@ -64,15 +69,10 @@ class ServeConfig:
         many spawn-started replica processes behind a shared-memory
         router — true core parallelism, unconstrained by the GIL.
     gemm_threads:
-        Width of the process-wide GEMM pool (:mod:`repro.core.gemm`)
-        applied at session build.  ``None`` keeps the ambient setting
-        (``REPRO_GEMM_THREADS`` or ``min(cpu, 8)``); ``1`` disables
-        intra-op parallelism.  Note the pool is shared by all workers
-        (and inherited by every replica process): effective concurrency
-        is ``workers x gemm_threads`` — or ``replicas x gemm_threads``
-        — so keep the product near the core count (a warning is logged
-        when it oversubscribes the affinity mask; see
-        ``docs/serving.md``).
+        Accepts only ``None`` or ``1`` and is read by nothing.  It is
+        kept because the end-to-end benchmark's reference session
+        (``benchmarks/e2e/run.py``) passes ``gemm_threads=1``; every
+        GEMM runs on its calling thread.
     host / port:
         Bind address.  ``port=0`` asks the OS for a free port (tests).
 
@@ -123,9 +123,9 @@ class ServeConfig:
                 f"replicas must be >= 1 (1 = in-process thread pool, "
                 f"N > 1 = N replica processes), got {self.replicas}"
             )
-        if self.gemm_threads is not None and self.gemm_threads < 1:
+        if self.gemm_threads not in (None, 1):
             raise ValueError(
-                f"gemm_threads must be >= 1 when set, got {self.gemm_threads}"
+                f"gemm_threads must be None or 1, got {self.gemm_threads}"
             )
         if self.train_epochs < 0:
             raise ValueError(f"train_epochs must be >= 0, got {self.train_epochs}")
@@ -144,20 +144,16 @@ class ServeConfig:
     def _warn_if_oversubscribed(self) -> None:
         """Log when the lane count exceeds the affinity mask.
 
-        Effective compute lanes are ``replicas x gemm_threads`` (process
-        parallelism times intra-op threads) or ``workers x gemm_threads``
-        on the thread path.  Exceeding the usable cores silently
-        timeshares — legal, but it erases the scaling the knobs promise,
-        so surface it once at config build instead of letting users
-        discover it in a flat benchmark curve.
+        Compute lanes are ``replicas`` on the process path and
+        ``workers`` on the thread path.  Exceeding the usable cores
+        silently timeshares — legal, but it erases the scaling the knobs
+        promise, so surface it once at config build instead of letting
+        users discover it in a flat benchmark curve.
         """
-        if self.gemm_threads is None:
-            return  # ambient setting: sized from the affinity mask already
         from repro.cluster.sizing import usable_cores
 
         cores = usable_cores()
-        parallel = self.replicas if self.replicas > 1 else self.workers
-        lanes = parallel * self.gemm_threads
+        lanes = self.replicas if self.replicas > 1 else self.workers
         if lanes > cores:
             from repro.obs.log import get_logger
 
@@ -167,7 +163,6 @@ class ServeConfig:
                 usable_cores=cores,
                 replicas=self.replicas,
                 workers=self.workers,
-                gemm_threads=self.gemm_threads,
             )
 
 

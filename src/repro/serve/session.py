@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.workbench import scale_from_env
-from repro.core import gemm
 from repro.core.pipeline import QuantizedInferenceEngine
 from repro.core.schemes import DEFAULT_SERVE_THRESHOLD, Scheme, build_scheme
 from repro.data.synthetic import (
@@ -135,12 +134,6 @@ class ModelSession:
 
     def _build(self, config: ServeConfig, t0: float) -> None:
         """The expensive part of construction (traced as one span)."""
-
-        if config.gemm_threads is not None:
-            # Process-wide intra-op parallelism knob; deliberately NOT
-            # part of SessionKey (it changes speed, never results).
-            gemm.configure(threads=config.gemm_threads)
-
         dataset = _build_dataset(config)
         self.input_shape: tuple[int, int, int] = dataset.image_shape
         self.num_classes: int = dataset.num_classes
@@ -244,7 +237,6 @@ class ModelSession:
             "calib_images": self.stats.calib_images,
             "packed_layers": self.stats.packed_layers,
             "engines_cloned": self.stats.engines_cloned,
-            "gemm_threads": gemm.gemm_threads(),
             "plan": {
                 "warmed": self.stats.plan_warmed,
                 **self.engine.plan_stats(),

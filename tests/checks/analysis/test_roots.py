@@ -20,8 +20,6 @@ SRC = Path(__file__).resolve().parents[3] / "src"
 EXPECTED_ROOTS = {
     # Replica worker processes forked by the cluster supervisor.
     ("process", "repro.cluster.worker.replica_main", True),
-    # GEMM worker-pool row-block kernel.
-    ("submit", "repro.core.gemm._mm_block", True),
     # Cluster I/O multiplexer and replica health monitor.
     ("thread", "repro.cluster.router.ClusterPool._io_loop", True),
     ("thread", "repro.cluster.supervisor.Supervisor._monitor_loop", True),

@@ -55,6 +55,12 @@ class TestSubmission:
         with pytest.raises(ValueError):
             echo_pool.submit(np.zeros((2, 3, 3, 3)))
 
+    def test_empty_batch_rejected(self, echo_pool):
+        # No chunk can complete an empty submission: it must fail fast,
+        # not leave a future that never resolves.
+        with pytest.raises(ValueError, match="empty batch"):
+            echo_pool.submit(np.zeros((0, *ECHO_SHAPE))).result(timeout=3)
+
     def test_many_concurrent_submissions(self, echo_pool):
         rng = np.random.default_rng(2)
         arrs = requests(rng, 20, 3)

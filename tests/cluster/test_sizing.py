@@ -10,7 +10,6 @@ from repro.cluster.sizing import (
     autoscale_hint,
     place_chunks,
     predicted_chunk_cost,
-    recommended_gemm_threads,
     recommended_replicas,
     usable_cores,
 )
@@ -25,12 +24,6 @@ class TestDefaults:
     )
     def test_recommended_replicas(self, cores, expected):
         assert recommended_replicas(cores) == expected
-
-    @pytest.mark.parametrize(
-        "replicas,cores,expected", [(1, 8, 8), (4, 8, 2), (8, 4, 1), (3, 7, 2)]
-    )
-    def test_gemm_threads_keep_product_within_cores(self, replicas, cores, expected):
-        assert recommended_gemm_threads(replicas, cores) == expected
 
 
 class TestAutoscaleHint:

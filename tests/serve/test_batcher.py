@@ -27,6 +27,12 @@ class TestSubmit:
         with pytest.raises(ValueError):
             MicroBatcher().submit(np.zeros((4, 4)))
 
+    def test_empty_batch_rejected(self):
+        b = MicroBatcher()
+        with pytest.raises(ValueError, match="empty batch"):
+            b.submit(np.zeros((0, *IMG)))
+        assert b.submitted == 0
+
     def test_submit_after_shutdown_raises(self):
         b = MicroBatcher()
         b.shutdown()

@@ -31,6 +31,7 @@ class TestValueErrors:
             ({"train_epochs": -1}, "train_epochs"),
             ({"calib_images": 0}, "calib_images"),
             ({"exec_path": "vectorized"}, "exec_path"),
+            ({"gemm_threads": 2}, "gemm_threads"),
         ],
     )
     def test_rejects_and_names_field_and_value(self, kwargs, needle):
@@ -62,20 +63,23 @@ class TestOversubscriptionWarning:
         return stream.getvalue()
 
     def test_warns_when_lanes_exceed_affinity(self):
-        # 64 * 64 lanes exceeds any box this test will ever run on.
-        out = self._build(replicas=64, gemm_threads=64)
+        # 64 replica processes exceed any box this test will ever run on.
+        out = self._build(replicas=64)
         assert "compute_lanes_oversubscribed" in out
-        assert "lanes=4096" in out
+        assert "lanes=64" in out
 
     def test_thread_path_uses_workers_for_lane_count(self):
-        out = self._build(workers=64, gemm_threads=64)
+        out = self._build(workers=64)
         assert "compute_lanes_oversubscribed" in out
+        assert "lanes=64" in out
 
-    def test_silent_when_gemm_threads_ambient(self):
-        # gemm_threads=None is sized from the affinity mask downstream;
-        # warning would be noise.
-        out = self._build(replicas=64)
-        assert "compute_lanes_oversubscribed" not in out
+    def test_default_config_is_silent(self, monkeypatch):
+        # The serve default (2 workers) fits the 2-core bench host; pin
+        # the mask to that size so a 1-core runner does not flip it.
+        from repro.cluster import sizing
+
+        monkeypatch.setattr(sizing, "usable_cores", lambda: 2)
+        assert "compute_lanes_oversubscribed" not in self._build()
 
     def test_silent_when_within_budget(self):
         out = self._build(replicas=1, workers=1, gemm_threads=1)

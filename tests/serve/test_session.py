@@ -28,6 +28,13 @@ class TestModelSession:
         out = session.engine.infer(session.sample_inputs[:2])
         assert out.shape == (2, session.num_classes)
 
+    def test_inference_starts_no_gemm_threads(self, session):
+        # Every GEMM runs on the calling thread: no intra-op pool exists.
+        batch = np.resize(session.sample_inputs, (8, *session.input_shape))
+        assert session.engine.infer(batch).shape == (8, session.num_classes)
+        names = [t.name for t in threading.enumerate() if t.is_alive()]
+        assert not [n for n in names if n.startswith("gemm")], names
+
     def test_freeze_prepacked_every_quantized_layer(self, session):
         assert session.stats.packed_layers == len(session.engine.executors)
         # ODQ executors carry the pre-packed W_HBS bit plane after freeze.
