@@ -75,8 +75,7 @@ _VALUE_PRESERVING_FUNCS = frozenset({
 #: Attribute reads that are bit-plane / packed-operand sources — the
 #: ColumnCache / PackedConvWeights API (exact integers in float64).
 _SOURCE_ATTRS = frozenset({
-    "cols_high", "cols_low", "cols_full",
-    "wmat_full", "wmat_high", "wmat_rest",
+    "cols_high", "cols_full", "wmat_full", "wmat_high",
 })
 
 #: Resolved-callee terminal names that mint exact values.

@@ -335,6 +335,9 @@ class ClusterPool:
         if arr.shape[0] == 0:
             # No chunk would ever complete the submission's future.
             raise ValueError("empty batch: expected at least one image")
+        if not np.isfinite(arr).all():
+            # Refused here, the bad request cannot fail its chunk-mates.
+            raise ValueError("inputs must be finite (got NaN or Inf)")
         if self.closed:
             raise ClusterClosed("cluster pool is shut down")
 

@@ -191,13 +191,12 @@ def int_conv2d(
     ``-zp * scale`` bias into every border output.
 
     ``cols`` accepts a pre-built **float64** column matrix of the padded
-    input (see :class:`repro.core.colcache.ColumnCache`).  That overload
-    skips the pad/astype/im2col prep *and* the ``np.rint`` + int64
-    round-trip: because the cached columns hold exact integer values, the
-    GEMM result is already exactly integral, so the float64 output can be
-    consumed directly (DRQ's mixed-precision paths and the ODQ executor
-    both do).  ``pad_value`` is ignored in that case — the cache already
-    owns pad semantics.
+    input, in :func:`repro.utils.im2col.im2col`'s ``(c, kh, kw)`` column
+    order.  That overload skips the pad/astype/im2col prep *and* the
+    ``np.rint`` + int64 round-trip: because the columns hold exact
+    integer values, the GEMM result is already exactly integral, so the
+    float64 output can be consumed directly.  ``pad_value`` is ignored
+    in that case — the caller already owns pad semantics.
     """
     n = q.shape[0]
     c_out, _, k, _ = qw.shape

@@ -1,47 +1,49 @@
 """Per-call quantized column cache + freeze-time packed GEMM operands.
 
-Before this module existed, the ODQ executor's two steps each redid the
-same preparation: ``predict_partial`` quantized, padded and bit-split the
-input to convolve the high planes, then ``full_result`` quantized, padded
-and im2col'ed the *same* input again for the dense INT4 accumulate.  The
-paper's accelerator does that work exactly once — the Im2col/Pack engine
-(Fig. 12/17) unfolds and packs each input tile into the line buffers, and
-both the predictor and executor PE clusters read from there.
+The paper's accelerator prepares each input tile exactly once: the
+Im2col/Pack engine (Fig. 12/17) unfolds and packs it into the line
+buffers, and both the predictor and the executor PE clusters read from
+there.  :class:`ColumnCache` is the software twin (one prep per layer
+call, shared by the predictor and result generation) and
+:class:`PackedConvWeights` its freeze-time counterpart (the filter bank
+reshaped into GEMM operands once).
 
-:class:`ColumnCache` is the software twin: one ``quantize -> pad ->
-im2col`` per layer call, with the bit-plane column matrices derived
-lazily so a predictor-only caller (threshold search, mask dumps, the
-sparse executor at low sensitivity) never pays for columns it does not
-read.  :class:`PackedConvWeights` is the freeze-time counterpart: the
-filter bank reshaped into GEMM operands once, including the *cross-term*
-matrix ``wmat_rest`` that lets the executor compute the three remaining
-Eq.-3 terms in a single GEMM.
+One NHWC pass
+-------------
+The cache makes a single float64 pass over the input.  It evaluates
+:func:`repro.quant.uniform.quantize`'s ops (``round(x / scale) + zp``,
+clipped) on an NHWC view of ``x``, without the int64 cast, and copies
+the result into the interior of a preallocated ``(N, H+2p, W+2p, C)``
+buffer whose border holds the zero point (the integer that dequantizes
+to real 0).
+Padding before the plane split means the predictor sees the same border
+values as the executor.  The high plane is ``trunc(q * 2**-n)``.  That
+equals :func:`repro.quant.bitsplit.split_planes` for unsigned
+activations (``q >> n``) and for the signed sign-magnitude split
+(``sign(q) * (|q| >> n)``).  ``E[q_l]`` is measured on the unpadded
+interior as ``(sum(q) - 2**n * sum(q_h)) / count``.
 
-The cross-term algebra
-----------------------
-With ``q = (q_h << n) + q_l`` and ``qw = (w_h << n) + w_l`` (both merge
-identities exact, see :mod:`repro.utils.bitops`), the work the executor
-owes on top of the predictor's ``(q_h * w_h) << 2n`` is::
+Column order ``(kh, kw, c)``
+----------------------------
+The column matrices are unfolded from an ``(N, OH, OW, K, K, C)``
+strided view of that buffer, so each row is one receptive field with
+channels innermost.  For a given ``kh`` the ``K * C`` values are
+adjacent in memory, so the unfold copies contiguous runs instead of
+``K``-wide NCHW strips.  :func:`pack_conv_weights` packs the filter
+bank rows in the same ``(kh, kw, c)`` order.  Rows stay ``n``-major in
+raster order over output pixels, so a ``(rows, C_out)`` GEMM result
+folds back with :meth:`ColumnCache.to_nchw`.
 
-    q*qw - (q_h*w_h) << 2n  =  (q_h*w_l) << n + (q_l*w_h) << n + q_l*w_l
-                            =  q * w_l  +  q_l * (w_h << n)
-
-(substitute ``q_h << n = q - q_l`` and expand).  Stacking the operands
-turns that into one GEMM::
-
-    rest = [cols_full | cols_low] @ [[wmat_low], [wmat_high << n]]
-         = cols_rest @ wmat_rest
-
-which is exactly ``acc - (hh << 2n)`` element-for-element, so
-``full = partial_int + cols_rest @ wmat_rest`` is *bit-exact* against the
-dense accumulate (every partial product of sub-16-bit integers summed
-over a receptive field stays far below 2**53, so the float64 GEMM is
-exact regardless of summation order — same argument as
-:func:`repro.core.base.int_conv2d`).
-
-For the sparse result-generation path, :meth:`ColumnCache.rest_rows`
-gathers only the flagged rows via :func:`repro.utils.im2col.im2col_rows`
-without ever materialising the dense column matrix.
+Why float64 stays exact
+-----------------------
+Every buffer entry is an integer of a few bits, and every GEMM entry is
+a sum of ``C*K*K`` products of such integers, far below ``2**53``.  A
+float64 sum of integers below ``2**53`` is exact in any order, so
+reordering the reduction axis (or BLAS blocking it differently) cannot
+change a single bit of the result (same argument as
+:func:`repro.core.base.int_conv2d`).  Sparse and dense result
+generation, and this layout and the NCHW reference, therefore agree
+with ``==``.
 """
 
 from __future__ import annotations
@@ -54,23 +56,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.quant.bitsplit import split_planes
-from repro.quant.uniform import QParams, quantize
-from repro.utils.im2col import conv_output_size, im2col, im2col_rows, pad_nchw
+from repro.quant.uniform import QParams
+from repro.utils.im2col import conv_output_size
+
+
+def _gemm_layout(t: np.ndarray) -> np.ndarray:
+    """``(C_out, C_in, K, K)`` -> float64 ``(K*K*C_in, C_out)``, rows in
+    ``(kh, kw, c)`` order (the :class:`ColumnCache` column order)."""
+    return np.ascontiguousarray(
+        t.transpose(2, 3, 1, 0).reshape(-1, t.shape[0]), dtype=np.float64
+    )
+
+
+def weights_from_gemm_layout(
+    mat: np.ndarray, shape: tuple[int, int, int, int]
+) -> np.ndarray:
+    """Inverse of the packing: ``(K*K*C_in, C_out)`` -> ``shape``,
+    the filter bank's ``(C_out, C_in, K, K)``."""
+    c_out, c_in, kh, kw = shape
+    return mat.T.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
 class PackedConvWeights:
     """Freeze-time GEMM operands of one quantized filter bank.
 
-    All matrices are float64 ``(C_in*K*K, C_out)`` (``wmat_rest`` is
-    ``(2*C_in*K*K, C_out)``) holding exact integer values, ready to be
-    multiplied against :class:`ColumnCache` column matrices without any
-    per-call reshape/astype work.
+    ``wmat_full`` and ``wmat_high`` are float64 ``(K*K*C_in, C_out)``
+    matrices of exact integers with rows in ``(kh, kw, c)`` order, ready
+    to be multiplied against :class:`ColumnCache` column matrices without
+    any per-call reshape/astype work.
     """
 
     wmat_full: np.ndarray   #: full INT-q weights, GEMM layout
     wmat_high: np.ndarray   #: W_HBS plane (predictor operand)
-    wmat_rest: np.ndarray   #: stacked [w_low; w_high << n] cross-term operand
     w_sum: np.ndarray       #: per-channel sum(qw), shape (1, C_out) float64
     low_bits: int
     c_out: int
@@ -86,19 +104,10 @@ def pack_conv_weights(
 ) -> PackedConvWeights:
     """Pack quantized weights ``qw`` (C_out, C_in, K, K) for the GEMM paths."""
     c_out = qw.shape[0]
-    planes = split_planes(qw, qp_w, low_bits)
-    wmat_full = qw.reshape(c_out, -1).T.astype(np.float64)
-    wmat_high = planes.high.reshape(c_out, -1).T.astype(np.float64)
-    wmat_low = planes.low.reshape(c_out, -1).T.astype(np.float64)
-    # rest = q * w_l + q_l * (w_h << n): stack the two operands vertically
-    # to match ColumnCache.rest_* hstacking [cols_full | cols_low].
-    wmat_rest = np.vstack([wmat_low, wmat_high * float(1 << low_bits)])
-    w_sum = qw.sum(axis=(1, 2, 3)).reshape(1, -1).astype(np.float64)
     return PackedConvWeights(
-        wmat_full=np.ascontiguousarray(wmat_full),
-        wmat_high=np.ascontiguousarray(wmat_high),
-        wmat_rest=np.ascontiguousarray(wmat_rest),
-        w_sum=w_sum,
+        wmat_full=_gemm_layout(qw),
+        wmat_high=_gemm_layout(split_planes(qw, qp_w, low_bits).high),
+        w_sum=qw.sum(axis=(1, 2, 3)).reshape(1, -1).astype(np.float64),
         low_bits=low_bits,
         c_out=c_out,
     )
@@ -113,7 +122,7 @@ class PackedWeightsStore:
     threshold changes).  The store keys packed operands by a BLAKE2b hash
     of the quantized weight *content* plus the quantization parameters,
     so a re-freeze of unchanged weights is a dictionary hit instead of a
-    reshape/transpose/vstack pass per layer.
+    split/transpose pass per layer.
 
     Entries are shared across engines: :class:`PackedConvWeights` is a
     frozen dataclass whose arrays every consumer treats as read-only
@@ -202,29 +211,25 @@ def packed_store() -> PackedWeightsStore:
 
 
 class ColumnCache:
-    """One layer call's quantize/pad/im2col work, done exactly once.
+    """One layer call's quantize/pad/unfold work, done exactly once.
 
     Parameters mirror the executing conv layer; ``compensate_low_bits``
     controls whether the expected low-plane activation value ``E[q_l]``
-    is measured (on the *unpadded* quantized input, matching the
-    historical predictor semantics).
+    is measured (on the *unpadded* quantized input).
 
-    Laziness contract
-    -----------------
-    Construction quantizes, pads and bit-splits — all elementwise, and
-    the single split serves both the predictor plane and the ``e_low``
-    measurement.  Column matrices materialise on first access:
+    Construction is the one NHWC pass of the module docstring: it fills
+    :attr:`q_pad`, the zero-point-padded ``(N, H+2p, W+2p, C)`` float64
+    buffer, and (when compensating) the high plane and ``e_low``.  The
+    column matrices, all in ``(kh, kw, c)`` column order, materialise on
+    first access:
 
-    ``cols_high``   predictor operand, needed by every caller;
-    ``cols``        dense INT-q columns, needed only by the dense path;
-    ``cols_low``    derived as ``cols - (cols_high << n)`` (exact by the
-                    merge identity) when ``cols`` already exists, else
-                    gathered per row.
-
-    ``rest_rows(idx)`` never touches ``cols`` unless it was already
-    built: it gathers the selected receptive fields straight from the
-    padded tensors, which is what makes the sparse executor cheaper than
-    the dense one at low sensitive-row density.
+    ``cols_high``       predictor operand, needed by every caller;
+    ``cols``            dense INT-q columns, needed only by the dense path;
+    ``full_rows(idx)``  the rows ``idx`` of ``cols``, gathered straight
+                        from the buffer unless ``cols`` was already
+                        built.  This is what makes the sparse executor
+                        cheaper than the dense one at low sensitive-row
+                        density.
     """
 
     def __init__(
@@ -243,45 +248,60 @@ class ColumnCache:
         self.padding = padding
         self.low_bits = low_bits
 
-        q = quantize(x, qp_a)
-        if padding:
-            # Pad with the zero point (real 0) *before* the plane split so
-            # the predictor sees the same border values the executor does.
-            q = pad_nchw(q, padding, value=qp_a.zero_point)
-        self.q_pad = q
+        n, c, h, w = x.shape
+        self.n = n
+        self.oh = conv_output_size(h, kernel, stride, padding)
+        self.ow = conv_output_size(w, kernel, stride, padding)
+        self.rows = n * self.oh * self.ow
+
+        # quantize()'s ops on a contiguous NHWC temporary (in-place ops
+        # run faster there than on the padded buffer's strided interior).
+        zp = float(qp_a.zero_point)
+        t = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1) / qp_a.scale
+        np.round(t, out=t)
+        t += zp
+        np.clip(t, qp_a.qmin, qp_a.qmax, out=t)
+        p = padding
+        q_pad = np.empty((n, h + 2 * p, w + 2 * p, c))
+        if p:
+            q_pad[:, :p] = zp
+            q_pad[:, -p:] = zp
+            q_pad[:, p:-p, :p] = zp
+            q_pad[:, p:-p, -p:] = zp
+        q_pad[:, p : p + h, p : p + w] = t
+        self.q_pad = q_pad
 
         self._q_high_pad: np.ndarray | None = None
-        if compensate_low_bits:
-            # One split serves both consumers: the high plane is the
-            # predictor operand, and E[q_l] is the mean of the low plane's
-            # *interior* (split_planes is elementwise, so the interior of
-            # the padded split equals the split of the unpadded input).
-            planes = split_planes(q, qp_a, low_bits)
-            self._q_high_pad = planes.high
-            low = planes.low
-            if padding:
-                low = low[:, :, padding:-padding, padding:-padding]
-            self.e_low = float(low.mean())
-        else:
-            self.e_low = 0.0
-
-        self.n = x.shape[0]
-        self.oh = conv_output_size(x.shape[2], kernel, stride, padding)
-        self.ow = conv_output_size(x.shape[3], kernel, stride, padding)
-        self.rows = self.n * self.oh * self.ow
+        self.e_low = 0.0
+        if compensate_low_bits and t.size:
+            # sum(q_l) = sum(q) - 2**n * sum(q_h) over the interior: sums
+            # of small integers, exact in float64.
+            q_high = self.q_high_pad[:, p : p + h, p : p + w]
+            low_sum = t.sum() - q_high.sum() * float(1 << low_bits)
+            self.e_low = float(low_sum) / t.size
 
         self._cols: np.ndarray | None = None
         self._cols_high: np.ndarray | None = None
-        self._cols_low: np.ndarray | None = None
 
     @property
     def q_high_pad(self) -> np.ndarray:
-        """High (predictor) bit plane of the padded quantized input."""
+        """High (predictor) bit plane of :attr:`q_pad`, same layout."""
         if self._q_high_pad is None:
-            self._q_high_pad = split_planes(
-                self.q_pad, self.qp_a, self.low_bits
-            ).high
+            q_high = self.q_pad * 2.0 ** -self.low_bits
+            np.trunc(q_high, out=q_high)
+            self._q_high_pad = q_high
         return self._q_high_pad
+
+    def _patches(self, buf: np.ndarray) -> np.ndarray:
+        """``(N, OH, OW, K, K, C)`` read-only strided view of ``buf``."""
+        sn, sh, sw, sc = buf.strides
+        k, s = self.kernel, self.stride
+        return np.lib.stride_tricks.as_strided(
+            buf,
+            shape=(self.n, self.oh, self.ow, k, k, buf.shape[3]),
+            strides=(sn, sh * s, sw * s, sh, sw, sc),
+            writeable=False,
+        )
 
     # -- dense column matrices (lazy) ---------------------------------------
 
@@ -289,30 +309,15 @@ class ColumnCache:
     def cols(self) -> np.ndarray:
         """Dense float64 columns of the full quantized input."""
         if self._cols is None:
-            self._cols = im2col(
-                self.q_pad.astype(np.float64), self.kernel, self.stride, 0
-            )
+            self._cols = self._patches(self.q_pad).reshape(self.rows, -1)
         return self._cols
 
     @property
     def cols_high(self) -> np.ndarray:
         """Dense float64 columns of the high (predictor) plane."""
         if self._cols_high is None:
-            self._cols_high = im2col(
-                self.q_high_pad.astype(np.float64), self.kernel, self.stride, 0
-            )
+            self._cols_high = self._patches(self.q_high_pad).reshape(self.rows, -1)
         return self._cols_high
-
-    @property
-    def cols_low(self) -> np.ndarray:
-        """Dense low-plane columns, derived from the merge identity."""
-        if self._cols_low is None:
-            self._cols_low = self.cols - self.cols_high * float(1 << self.low_bits)
-        return self._cols_low
-
-    def rest_cols(self) -> np.ndarray:
-        """Dense cross-term operand ``[cols_full | cols_low]``."""
-        return np.hstack([self.cols, self.cols_low])
 
     # -- sparse row gathering -----------------------------------------------
 
@@ -323,39 +328,15 @@ class ColumnCache:
         never built, only the ``len(rows)`` receptive fields are gathered.
         This is the sparse executor's hot-path operand: one gather + one
         GEMM against ``wmat_full`` reproduces the dense accumulate at the
-        selected rows exactly (a float64 GEMM has no low-bit discount, so
-        the 1x-width full operand beats the 2x-width cross-term operand
-        ``rest_rows`` row-for-row — the latter exists because it is what
-        the paper's executor clusters physically compute).
+        selected rows exactly.
         """
         if self._cols is not None:
             return self._cols[rows]
-        return im2col_rows(
-            self.q_pad.astype(np.float64), self.kernel, self.stride, rows
-        )
-
-    def rest_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Cross-term operand for selected rows only.
-
-        Equals ``self.rest_cols()[rows]`` bit-for-bit, but when the dense
-        matrices were never built it gathers the ``len(rows)`` receptive
-        fields directly from the padded tensors (no dense materialisation).
-        """
-        if self._cols is not None:
-            full = self._cols[rows]
-            low = (
-                self._cols_low[rows]
-                if self._cols_low is not None
-                else full - self.cols_high[rows] * float(1 << self.low_bits)
-            )
-            return np.hstack([full, low])
-        full = im2col_rows(
-            self.q_pad.astype(np.float64), self.kernel, self.stride, rows
-        )
-        high = im2col_rows(
-            self.q_high_pad.astype(np.float64), self.kernel, self.stride, rows
-        )
-        return np.hstack([full, full - high * float(1 << self.low_bits)])
+        rows = np.asarray(rows, dtype=np.intp)
+        ni, rem = np.divmod(rows, self.oh * self.ow)
+        oi, oj = np.divmod(rem, self.ow)
+        width = self.kernel * self.kernel * self.q_pad.shape[3]
+        return self._patches(self.q_pad)[ni, oi, oj].reshape(rows.size, width)
 
     # -- layout helpers ------------------------------------------------------
 
@@ -369,6 +350,7 @@ class ColumnCache:
 __all__ = [
     "PackedConvWeights",
     "pack_conv_weights",
+    "weights_from_gemm_layout",
     "PackedWeightsStore",
     "packed_store",
     "ColumnCache",

@@ -36,11 +36,12 @@ between
     gather only the *sensitive rows* of the column matrix (rows whose
     spatial position has at least one sensitive output channel), one
     GEMM against the packed full operand, scatter the exact rows into
-    the predictor partial — bit-exact with the dense path.  The
+    the predictor partial — bit-exact with the dense path (see
+    :mod:`repro.core.colcache` for the exactness argument).  The
     hardware's executor clusters compute the same integers as the three
-    remaining Eq.-3 cross terms against ``wmat_rest`` (see
-    :mod:`repro.core.colcache` for the algebra and exactness argument);
-    in software the 1x-width full operand wins, so that is the hot path;
+    remaining Eq.-3 cross terms (:func:`repro.quant.bitsplit.cross_terms`);
+    a float64 GEMM gives no low-bit discount, so software uses the
+    1x-width full operand;
 ``auto``
     per layer-call dispatch on the sensitive-row density against
     :data:`SPARSE_ROW_CROSSOVER` (measured in
@@ -67,6 +68,7 @@ from repro.core.gemm import pgemm
 from repro.core.masks import SensitivityMask, mask_from_magnitude
 from repro.obs import trace
 from repro.nn.layers import Conv2d
+from repro.quant.bitsplit import split_planes
 from repro.quant.observer import MinMaxObserver, Observer
 from repro.quant.uniform import QParams, affine_qparams, quantize, symmetric_qparams
 
@@ -78,10 +80,10 @@ EXEC_PATHS = ("auto", "dense", "sparse")
 #: gather/GEMM/scatter beats the dense GEMM.  Pure FLOPs break even at
 #: 1.0 (the sparse GEMM uses the same full operand, just fewer rows);
 #: the gather's patch-copy and the scatter pull the measured crossover
-#: down only slightly — benchmarks/bench_odq_sparse.py measures ~0.9 on
-#: resnet20/cifar10 at default scale, so only near-saturated masks go
-#: dense.
-SPARSE_ROW_CROSSOVER = 0.9
+#: down — benchmarks/bench_odq_sparse.py measured a median of 0.83 over
+#: five runs on resnet20/cifar10 at default scale (0.78-0.92, 2-core
+#: host), so only masks with most rows sensitive go dense.
+SPARSE_ROW_CROSSOVER = 0.83
 
 #: A GEMM callable with :func:`~repro.core.gemm.pgemm`'s signature.
 GemmFn = Callable[..., np.ndarray]
@@ -129,14 +131,7 @@ def _full_2d(cache: ColumnCache, cols: np.ndarray, packed: PackedConvWeights,
 
     The dense path passes every column row; the sparse path passes only
     the gathered sensitive rows, so its result is the dense expression
-    restricted to those rows and bit-exact by construction.  The
-    hardware-faithful alternative (reuse the predictor's HH term, one
-    GEMM against the cross-term operand ``wmat_rest``) computes the same
-    integers but needs a 2x-wide operand and a second gather; a float64
-    GEMM gives no low-bit discount, so the full-operand form wins
-    row-for-row (the cross-term machinery lives on in
-    :mod:`repro.core.colcache` — it is what the paper's executor
-    clusters physically compute, and the tests pin its algebra).
+    restricted to those rows and bit-exact by construction.
     """
     acc = mm(cols, packed.wmat_full)
     full2d = scale * (acc - cache.qp_a.zero_point * packed.w_sum)
@@ -460,7 +455,7 @@ class ODQConvExecutor(ConvExecutor):
             self._qw, self.qp_w, self.low_bits
         )
         # Tensor-shaped twins kept for introspection and the mask dumps.
-        self._qw_high = self._packed.wmat_high.T.reshape(self._qw.shape).astype(np.int64)
+        self._qw_high = split_planes(self._qw, self.qp_w, self.low_bits).high
         self._w_sum = self._qw.sum(axis=(1, 2, 3)).reshape(1, -1, 1, 1)
         super().freeze()
 

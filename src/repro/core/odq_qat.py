@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from repro.config import ODQ_LOW_BITS, ODQ_TOTAL_BITS
+from repro.core.colcache import weights_from_gemm_layout
 from repro.core.gemm import pgemm
 from repro.core.odq import odq_mixed_conv, odq_weight_qparams
 from repro.nn.layers import Conv2d, Module, swap_modules
@@ -142,7 +143,8 @@ class ODQAwareConv2d(Conv2d):
         def backward(g: np.ndarray) -> None:
             gmat = np.asarray(g).transpose(0, 2, 3, 1).reshape(-1, c_out)
             if weight_t.requires_grad:
-                weight_t._accumulate(pgemm(cols.T, gmat).T.reshape(weight_t.shape))
+                dw = pgemm(cols.T, gmat)  # rows in the cache's column order
+                weight_t._accumulate(weights_from_gemm_layout(dw, weight_t.shape))
             if bias_t is not None and bias_t.requires_grad:
                 bias_t._accumulate(gmat.sum(axis=0))
             if x_t.requires_grad:

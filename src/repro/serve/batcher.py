@@ -138,6 +138,9 @@ class MicroBatcher:
             )
         if arr.shape[0] == 0:
             raise ValueError("empty batch: expected at least one image")
+        if not np.isfinite(arr).all():
+            # Refused here, the bad request cannot fail its batch-mates.
+            raise ValueError("inputs must be finite (got NaN or Inf)")
         req = _Request(arr, ctx=ctx)
         with self._cond:
             if self._closed:

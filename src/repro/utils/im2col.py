@@ -73,29 +73,6 @@ def im2col(
     return np.ascontiguousarray(cols)
 
 
-def im2col_rows(
-    xp: np.ndarray, kernel: int, stride: int, rows: np.ndarray
-) -> np.ndarray:
-    """Materialise only selected rows of the im2col matrix of ``xp``.
-
-    ``xp`` must already be padded (the caller owns pad semantics — the ODQ
-    column cache pads with the activation zero point).  ``rows`` indexes
-    the ``N * OH * OW`` raster order of :func:`im2col`; the result equals
-    ``im2col(xp, kernel, stride)[rows]`` but copies only the gathered
-    receptive fields.  This is the software analog of the paper's executor
-    clusters fetching only flagged output positions from the line buffers:
-    when few outputs are sensitive, the full column matrix is never built.
-    """
-    patches = _patch_view(xp, kernel, stride)  # N,C,OH,OW,KH,KW
-    n, c, oh, ow, kh, kw = patches.shape
-    rows = np.asarray(rows, dtype=np.intp)
-    ni, rem = np.divmod(rows, oh * ow)
-    oi, oj = np.divmod(rem, ow)
-    # Fancy indexing copies only the selected patches: (R, C, KH, KW).
-    gathered = patches[ni, :, oi, oj]
-    return gathered.reshape(rows.size, c * kh * kw)
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -127,4 +104,4 @@ def col2im(
     return xp
 
 
-__all__ = ["conv_output_size", "pad_nchw", "im2col", "im2col_rows", "col2im"]
+__all__ = ["conv_output_size", "pad_nchw", "im2col", "col2im"]

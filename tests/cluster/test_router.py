@@ -61,6 +61,16 @@ class TestSubmission:
         with pytest.raises(ValueError, match="empty batch"):
             echo_pool.submit(np.zeros((0, *ECHO_SHAPE))).result(timeout=3)
 
+    def test_non_finite_batch_rejected(self, echo_pool):
+        healthy = np.random.default_rng(4).normal(size=(2, *ECHO_SHAPE))
+        solo = echo_pool.submit(healthy).result(timeout=30)
+        for bad_value in (np.nan, np.inf):
+            bad = healthy.copy()
+            bad[1, 0, 0, 0] = bad_value
+            with pytest.raises(ValueError, match="finite"):
+                echo_pool.submit(bad)
+        assert np.array_equal(echo_pool.submit(healthy).result(timeout=30), solo)
+
     def test_many_concurrent_submissions(self, echo_pool):
         rng = np.random.default_rng(2)
         arrs = requests(rng, 20, 3)

@@ -1,8 +1,8 @@
 """Sparse result generation: bit-exactness, dispatch, and the column cache.
 
 The sparse executor path gathers only sensitive rows of the column matrix
-and computes the three remaining Eq.-3 cross terms in one GEMM against the
-packed ``wmat_rest`` operand.  These tests pin the PR's contract:
+and computes their exact results in one GEMM against the packed
+``wmat_full`` operand.  These tests pin the contract:
 
 * dense and sparse outputs are **bit-exact** (``assert_array_equal``, no
   tolerance) across stride/padding/bias/threshold/threshold-mode space;
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import int_conv2d
-from repro.core.colcache import ColumnCache, pack_conv_weights
+from repro.core.colcache import ColumnCache
 from repro.core.odq import (
     EXEC_PATHS,
     ODQConvExecutor,
@@ -27,7 +27,7 @@ from repro.core.odq import (
 )
 from repro.nn import Conv2d
 from repro.quant.uniform import affine_qparams, quantize
-from repro.utils.im2col import im2col, im2col_rows, pad_nchw
+from repro.utils.im2col import im2col, pad_nchw
 
 
 def _pair(rng, threshold, *, in_c=3, out_c=4, k=3, stride=1, padding=1,
@@ -209,27 +209,10 @@ class TestColumnCache:
     def test_cols_match_reference_im2col(self, rng):
         x, qp_a, cache = self._cache(rng)
         q = pad_nchw(quantize(x, qp_a), 1, value=qp_a.zero_point)
-        np.testing.assert_array_equal(
-            cache.cols, im2col(q.astype(np.float64), 3, 1, 0))
-
-    def test_merge_identity(self, rng):
-        """cols == (cols_high << n) + cols_low, exactly."""
-        _, _, cache = self._cache(rng)
-        np.testing.assert_array_equal(
-            cache.cols, cache.cols_high * 4.0 + cache.cols_low)
-
-    def test_rest_rows_equals_dense_slice(self, rng):
-        seed = rng.integers(1 << 31)
-        rows = np.array([0, 3, 17, 40, 71])
-        # Fresh cache: gathered without dense materialisation ...
-        _, _, cache_a = self._cache(np.random.default_rng(seed))
-        gathered = cache_a.rest_rows(rows)
-        assert cache_a._cols is None  # never built the dense matrix
-        # ... equals the dense slice of an identically-built cache.
-        _, _, cache_b = self._cache(np.random.default_rng(seed))
-        np.testing.assert_array_equal(gathered, cache_b.rest_cols()[rows])
-        # And the post-dense slicing shortcut agrees too.
-        np.testing.assert_array_equal(gathered, cache_b.rest_rows(rows))
+        ref = im2col(q.astype(np.float64), 3, 1, 0)
+        # The cache's columns run (kh, kw, c); the reference's (c, kh, kw).
+        ref = ref.reshape(-1, 3, 3, 3).transpose(0, 2, 3, 1).reshape(ref.shape)
+        np.testing.assert_array_equal(cache.cols, ref)
 
     def test_e_low_on_unpadded_input(self, rng):
         x, qp_a, cache = self._cache(rng)
@@ -243,12 +226,6 @@ class TestColumnCache:
 
 
 class TestPrimitives:
-    def test_im2col_rows_matches_dense(self, rng):
-        xp = rng.normal(size=(2, 3, 8, 8))
-        dense = im2col(xp, 3, 2, 0)
-        rows = np.array([0, 1, 5, dense.shape[0] - 1])
-        np.testing.assert_array_equal(im2col_rows(xp, 3, 2, rows), dense[rows])
-
     def test_int_conv2d_cols_overload(self, rng):
         q = rng.integers(0, 16, size=(2, 3, 6, 6)).astype(np.int64)
         qw = rng.integers(-8, 8, size=(4, 3, 3, 3)).astype(np.int64)
@@ -258,19 +235,6 @@ class TestPrimitives:
         out = int_conv2d(q, qw, 1, 1, cols=cols)
         assert out.dtype == np.float64  # no rint round-trip
         np.testing.assert_array_equal(out, ref.astype(np.float64))
-
-    def test_packed_weights_cross_term_algebra(self, rng):
-        """wmat_rest reproduces acc - (hh << 2n) for arbitrary columns."""
-        w = rng.normal(size=(4, 3, 3, 3)) * 0.3
-        qp_w = odq_weight_qparams(w, 4)
-        packed = pack_conv_weights(quantize(w, qp_w), qp_w, 2)
-        cols = rng.integers(0, 16, size=(10, 27)).astype(np.float64)
-        cols_high = np.floor(cols / 4.0)
-        cols_low = cols - cols_high * 4.0
-        acc = cols @ packed.wmat_full
-        hh = cols_high @ packed.wmat_high
-        rest = np.hstack([cols, cols_low]) @ packed.wmat_rest
-        np.testing.assert_array_equal(hh * 16.0 + rest, acc)
 
 
 class TestProfileIntegration:

@@ -33,6 +33,15 @@ class TestSubmit:
             b.submit(np.zeros((0, *IMG)))
         assert b.submitted == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        b = MicroBatcher()
+        arr = np.zeros((2, *IMG))
+        arr[1, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            b.submit(arr)
+        assert b.submitted == 0
+
     def test_submit_after_shutdown_raises(self):
         b = MicroBatcher()
         b.shutdown()

@@ -43,6 +43,21 @@ class TestDispatch:
             got = np.concatenate([f.result(timeout=30) for f in futures])
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
+    def test_non_finite_submit_leaves_neighbour_exact(self, session):
+        batcher = MicroBatcher(max_batch_size=4)
+        pool = WorkerPool(session, batcher, metrics=MetricsRegistry(), num_workers=1)
+        healthy = session.sample_inputs[0][None]
+        bad = healthy.copy()
+        bad[0, 0, 0, 0] = np.nan
+        with pool:
+            solo = batcher.submit(healthy).result(timeout=30)
+            # Refused at submit, the NaN image never joins the healthy
+            # request's micro-batch, so it cannot fail or skew it.
+            with pytest.raises(ValueError, match="finite"):
+                batcher.submit(bad)
+            got = batcher.submit(healthy).result(timeout=30)
+        np.testing.assert_array_equal(got, solo)
+
     def test_metrics_account_for_every_request(self, session):
         _, metrics, _ = _drive(session, 12)
         snap = metrics.as_dict()
