@@ -1,13 +1,11 @@
 """Plan-discipline rules (``PLN``).
 
-Invariant (``src/repro/core/plan.py`` + ``colcache.py``): im2col column
-caches are expensive per-call state.  The compiled-plan path and the
-executors obtain them through a provider — the engine's shared
-``cache_provider`` (sweep reuse) or the executor's ``_fresh_cache``
-factory — so cache policy lives in exactly one place.  A bare
-``ColumnCache(...)`` construction anywhere else silently opts that call
-site out of sweep-cache reuse *and* out of the plan's pre-bound im2col
-geometry, which reads as a perf regression nobody can find.
+Invariant (``src/repro/core/plan.py`` + ``pipeline.py``): the engine's
+compiled-plan state is owned by the engine and the plan tracer.  Outside
+code may read it, but writing the plan cache or shadowing a module's
+``forward`` desynchronizes the plan bookkeeping or silently opts modules
+out of plan compilation, and an in-place write to an array a plan froze
+by identity leaves the plan serving stale values.
 """
 
 from __future__ import annotations
@@ -15,50 +13,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.checks.astutil import enclosing_function, terminal_name
 from repro.checks.engine import FileContext
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import rule
-
-#: Function names allowed to construct caches directly: the executor's
-#: own factory hook (``ODQConvExecutor._fresh_cache`` and siblings).
-_PROVIDER_FUNCS = frozenset({"_fresh_cache"})
-
-
-@rule(
-    id="PLN501",
-    family="plan",
-    severity=Severity.ERROR,
-    summary="per-call ColumnCache(...) outside a plan/cache provider",
-    invariant=(
-        "ColumnCache objects are built only by the colcache module "
-        "itself or inside a provider hook (_fresh_cache); ad-hoc "
-        "construction bypasses SweepColumnCache reuse and the compiled "
-        "plan's frozen im2col geometry."
-    ),
-    exempt_paths=("repro/core/colcache.py",),  # the implementation
-)
-def check_adhoc_column_cache(ctx: FileContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and terminal_name(node.func) in ("ColumnCache", "SweepColumnCache")
-        ):
-            continue
-        if terminal_name(node.func) == "SweepColumnCache":
-            # The sweep cache *is* a provider; constructing one is fine.
-            continue
-        func = enclosing_function(node, ctx.parents)
-        if func is not None and func.name in _PROVIDER_FUNCS:
-            continue
-        yield ctx.finding(
-            "PLN501", node,
-            "ColumnCache(...) constructed outside a cache provider — go "
-            "through executor._build_cache() (honors the engine's "
-            "cache_provider) or a _fresh_cache factory so sweep reuse "
-            "and plan geometry stay in effect",
-        )
-
 
 #: Engine attributes that make up the compiled-plan state machine.
 _PLAN_STATE_ATTRS = frozenset({"_plans", "_active_plan"})
@@ -163,8 +120,55 @@ def check_instance_forward_shadowing(ctx: FileContext) -> Iterator[Finding]:
                 )
 
 
+#: Arrays a compiled plan step freezes by identity: parameter payloads
+#: (``weight.data``, ``bias.data``, ``gamma.data`` ...) and BatchNorm
+#: running statistics.
+_FROZEN_ARRAY_ATTRS = frozenset({"data", "running_mean", "running_var"})
+
+
+def _frozen_array(node: ast.AST) -> str | None:
+    """``p.data`` / ``p.data[...]`` (and running stats) -> the attr name."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr in _FROZEN_ARRAY_ATTRS:
+        return node.attr
+    return None
+
+
+@rule(
+    id="PLN504",
+    family="plan",
+    severity=Severity.ERROR,
+    summary="in-place write to a parameter or running-stat array",
+    invariant=(
+        "Compiled plan steps precompute constants from parameter and "
+        "BatchNorm running-stat arrays and re-validate them by object "
+        "identity only (InferencePlan.valid); an in-place write keeps "
+        "the identity, so the plan serves stale constants.  Rebind "
+        "instead (p.data = p.data - lr * g), as the optimizers do."
+    ),
+)
+def check_inplace_frozen_array_write(ctx: FileContext) -> Iterator[Finding]:
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+        else:
+            continue
+        for t in targets:
+            attr = _frozen_array(t)
+            if attr is not None:
+                yield ctx.finding(
+                    "PLN504", node,
+                    f"in-place write to `.{attr}` — compiled plans check "
+                    "these arrays by identity and would keep serving the "
+                    "old values; assign a new array instead",
+                )
+
+
 __all__ = [
-    "check_adhoc_column_cache",
     "check_external_plan_state_mutation",
     "check_instance_forward_shadowing",
+    "check_inplace_frozen_array_write",
 ]

@@ -34,7 +34,6 @@ from repro.core.pipeline import (
     run_scheme,
 )
 from repro.core.threshold import (
-    SweepColumnCache,
     ThresholdSearchResult,
     initial_threshold,
     adaptive_threshold_search,
@@ -80,7 +79,6 @@ __all__ = [
     "InstrumentedConv",
     "QuantizedInferenceEngine",
     "run_scheme",
-    "SweepColumnCache",
     "ThresholdSearchResult",
     "initial_threshold",
     "adaptive_threshold_search",

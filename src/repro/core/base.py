@@ -150,21 +150,13 @@ def float_conv2d(
     b: np.ndarray | None,
     stride: int,
     padding: int,
-    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Plain float convolution via im2col + GEMM (no autograd).
-
-    ``cols`` accepts a pre-built column matrix of ``x`` (as produced by
-    :func:`repro.utils.im2col.im2col` with the same kernel geometry) so
-    callers holding a column cache skip the unfold entirely; ``x`` is
-    then only consulted for its shape.
-    """
+    """Plain float convolution via im2col + GEMM (no autograd)."""
     n = x.shape[0]
     c_out, _, k, _ = w.shape
     oh = conv_output_size(x.shape[2], k, stride, padding)
     ow = conv_output_size(x.shape[3], k, stride, padding)
-    if cols is None:
-        cols = im2col(x, k, stride, padding)
+    cols = im2col(x, k, stride, padding)
     out = pgemm(cols, w.reshape(c_out, -1).T)
     if b is not None:
         out = out + b.reshape(1, -1)
@@ -177,7 +169,6 @@ def int_conv2d(
     stride: int,
     padding: int,
     pad_value: int = 0,
-    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact integer convolution.
 
@@ -189,30 +180,17 @@ def int_conv2d(
     affine-quantized activations this must be the *zero point* — the
     integer that dequantizes to real 0 — otherwise padding injects a
     ``-zp * scale`` bias into every border output.
-
-    ``cols`` accepts a pre-built **float64** column matrix of the padded
-    input, in :func:`repro.utils.im2col.im2col`'s ``(c, kh, kw)`` column
-    order.  That overload skips the pad/astype/im2col prep *and* the
-    ``np.rint`` + int64 round-trip: because the columns hold exact
-    integer values, the GEMM result is already exactly integral, so the
-    float64 output can be consumed directly.  ``pad_value`` is ignored
-    in that case — the caller already owns pad semantics.
     """
     n = q.shape[0]
     c_out, _, k, _ = qw.shape
     oh = conv_output_size(q.shape[2], k, stride, padding)
     ow = conv_output_size(q.shape[3], k, stride, padding)
-    if cols is None:
-        if padding and pad_value != 0:
-            q = pad_nchw(q.astype(np.float64), padding, value=float(pad_value))
-            padding = 0
-        cols = im2col(q.astype(np.float64), k, stride, padding)
-        out = pgemm(cols, qw.reshape(c_out, -1).T.astype(np.float64))
-        result = np.rint(out).astype(np.int64)
-    else:
-        # Pre-built exact-integer float64 columns: the GEMM is exact, so
-        # skip the rint/astype round-trip and stay in float64.
-        result = pgemm(cols, qw.reshape(c_out, -1).T.astype(np.float64))
+    if padding and pad_value != 0:
+        q = pad_nchw(q.astype(np.float64), padding, value=float(pad_value))
+        padding = 0
+    cols = im2col(q.astype(np.float64), k, stride, padding)
+    out = pgemm(cols, qw.reshape(c_out, -1).T.astype(np.float64))
+    result = np.rint(out).astype(np.int64)
     return result.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 

@@ -48,9 +48,6 @@ with ``==``.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,103 +108,6 @@ def pack_conv_weights(
         low_bits=low_bits,
         c_out=c_out,
     )
-
-
-class PackedWeightsStore:
-    """Process-wide content-addressed cache of :class:`PackedConvWeights`.
-
-    Freezing used to re-pack the filter bank on *every* executor freeze —
-    including the per-candidate engine rebuilds of the threshold sweep,
-    where the quantized weights are identical across candidates (only the
-    threshold changes).  The store keys packed operands by a BLAKE2b hash
-    of the quantized weight *content* plus the quantization parameters,
-    so a re-freeze of unchanged weights is a dictionary hit instead of a
-    split/transpose pass per layer.
-
-    Entries are shared across engines: :class:`PackedConvWeights` is a
-    frozen dataclass whose arrays every consumer treats as read-only
-    GEMM operands, so aliasing is safe (engine deep-copies still copy
-    their own arrays).  The store is lock-guarded and LRU-bounded.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, PackedConvWeights] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def fingerprint(qw: np.ndarray, qp_w: QParams, low_bits: int) -> bytes:
-        """Content hash of (quantized weights, qparams, split width)."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(
-            repr(
-                (
-                    qw.shape,
-                    qw.dtype.str,
-                    float(qp_w.scale),
-                    int(qp_w.zero_point),
-                    int(qp_w.bits),
-                    bool(qp_w.signed),
-                    int(low_bits),
-                )
-            ).encode()
-        )
-        h.update(np.ascontiguousarray(qw).view(np.uint8).data)
-        return h.digest()
-
-    def get_or_pack(
-        self, qw: np.ndarray, qp_w: QParams, low_bits: int
-    ) -> PackedConvWeights:
-        """Return cached operands for this weight content, packing once."""
-        key = self.fingerprint(qw, qp_w, low_bits)
-        with self._lock:
-            packed = self._entries.get(key)
-            if packed is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return packed
-        packed = pack_conv_weights(qw, qp_w, low_bits)  # packs outside the lock
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = packed
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return packed
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def clear(self) -> None:
-        """Drop all entries and counters (test isolation helper)."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-_PACKED_STORE = PackedWeightsStore()
-
-
-def packed_store() -> PackedWeightsStore:
-    """The process-wide packed-weights store."""
-    return _PACKED_STORE
 
 
 class ColumnCache:
@@ -351,7 +251,5 @@ __all__ = [
     "PackedConvWeights",
     "pack_conv_weights",
     "weights_from_gemm_layout",
-    "PackedWeightsStore",
-    "packed_store",
     "ColumnCache",
 ]

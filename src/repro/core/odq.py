@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.config import ODQ_LOW_BITS, ODQ_TOTAL_BITS
 from repro.core.base import ConvExecutor
-from repro.core.colcache import ColumnCache, PackedConvWeights, packed_store
+from repro.core.colcache import ColumnCache, PackedConvWeights, pack_conv_weights
 # The launcher of benchmarks/e2e rebinds this module's ``pgemm`` to time
 # GEMMs, so the kernel resolves it at call time, not as a default value.
 from repro.core.gemm import pgemm
@@ -312,13 +312,11 @@ def odq_mixed_conv(
     if exec_path not in EXEC_PATHS:
         raise ValueError(f"unknown exec_path {exec_path!r}; expected one of {EXEC_PATHS}")
     qw = quantize(weight, qp_w)
-    # Content-addressed: repeated calls with unchanged weights (QAT eval
-    # loops, notebook re-runs) hit the packed-operand store.
-    packed = packed_store().get_or_pack(qw, qp_w, low_bits)
+    packed = pack_conv_weights(qw, qp_w, low_bits)
     kernel = weight.shape[2]
 
     def prep(inp: np.ndarray) -> ColumnCache:
-        return ColumnCache(  # repro: noqa[PLN501] — pure-function API: no engine/plan owns a cache provider here
+        return ColumnCache(
             inp, qp_a, kernel, stride, padding, low_bits, compensate_low_bits
         )
 
@@ -417,14 +415,6 @@ class ODQConvExecutor(ConvExecutor):
         self.output_std: float | None = None
         self._std_acc: list[float] = []
 
-        #: Optional cross-call cache provider.  When set, ``_build_cache``
-        #: delegates to ``cache_provider(self, x, compensate)`` instead of
-        #: constructing a fresh :class:`ColumnCache`; sweep drivers
-        #: (:class:`repro.core.threshold.SweepColumnCache`) install a
-        #: content-addressed store here so the quantize→pad→im2col prep
-        #: for an unchanged input is paid once across many thresholds.
-        self.cache_provider = None
-
         self.qp_a: QParams | None = None
         self.qp_w: QParams | None = None
         self._qw: np.ndarray | None = None       # full INT4 weights
@@ -449,11 +439,7 @@ class ODQConvExecutor(ConvExecutor):
         if not self.dynamic_act:
             self.qp_a = self.observer.qparams(self.total_bits, signed=False)
         self._qw = quantize(w, self.qp_w)
-        # Keyed by weight content: re-freezing unchanged weights (sweep
-        # candidates, engine rebuilds) reuses the packed operands.
-        self._packed = packed_store().get_or_pack(
-            self._qw, self.qp_w, self.low_bits
-        )
+        self._packed = pack_conv_weights(self._qw, self.qp_w, self.low_bits)
         # Tensor-shaped twins kept for introspection and the mask dumps.
         self._qw_high = split_planes(self._qw, self.qp_w, self.low_bits).high
         self._w_sum = self._qw.sum(axis=(1, 2, 3)).reshape(1, -1, 1, 1)
@@ -477,23 +463,7 @@ class ODQConvExecutor(ConvExecutor):
 
     def _build_cache(self, x: np.ndarray,
                      compensate: bool | None = None) -> ColumnCache:
-        """Quantize → pad → im2col exactly once for this layer call.
-
-        With a :attr:`cache_provider` installed the prep may be shared
-        *across* calls too: the provider returns a previously-built cache
-        when the same input bytes reach this layer again (the cache is
-        immutable during :meth:`run`, so reuse is safe and bit-exact).
-        """
-        if self.cache_provider is not None:
-            return self.cache_provider(
-                self, x,
-                self.compensate_low_bits if compensate is None else compensate,
-            )
-        return self._fresh_cache(x, compensate)
-
-    def _fresh_cache(self, x: np.ndarray,
-                     compensate: bool | None = None) -> ColumnCache:
-        """Unconditionally construct the per-call :class:`ColumnCache`."""
+        """Quantize → pad → im2col exactly once for this layer call."""
         return ColumnCache(
             x,
             self._qp_a_for(x),

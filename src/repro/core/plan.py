@@ -50,9 +50,9 @@ identity, every piece of state a step froze (packed operands, weight and
 buffer arrays, exec-path config, instance-level ``run`` monkeypatches);
 the engine recompiles on mismatch.  Deliberately *not* frozen: the mask
 threshold (``effective_threshold`` is read per call so threshold sweeps
-hit the planned path unchanged) and the ``ColumnCache`` (built through
-``executor._build_cache`` so an installed ``cache_provider`` — e.g. the
-sweep column cache — keeps working).
+hit the planned path unchanged) and the ``ColumnCache`` (built per call
+by ``executor._build_cache``, the one place a layer call's cache is
+made, on the planned and unplanned paths alike).
 """
 
 from __future__ import annotations

@@ -13,124 +13,15 @@ Fig.-22 threshold-analysis curve.
 from __future__ import annotations
 
 import copy
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.colcache import ColumnCache
 from repro.core.odq import ODQConvExecutor
 from repro.core.odq_qat import finetune_odq
 from repro.core.pipeline import QuantizedInferenceEngine, run_scheme
 from repro.core.schemes import odq_scheme
 from repro.nn.layers import Module
-
-
-class SweepColumnCache:
-    """Content-addressed :class:`~repro.core.colcache.ColumnCache` store.
-
-    The adaptive search and the Fig.-22 sweep run the *same* inputs
-    through the *same* frozen engine once per candidate threshold.  The
-    threshold only steers the mask/result-generation steps — the
-    quantize→pad→im2col prep of a layer whose input bytes are unchanged
-    is identical across the whole sweep.  Installing this provider on the
-    engine's ODQ executors (:meth:`install`) keys each layer's prep by
-    ``(layer, input-id, compensate)``, where the input id is a BLAKE2b
-    fingerprint of the input bytes, so the prep is paid once per distinct
-    input instead of once per candidate threshold.
-
-    Correctness does not rest on any sweep-invariance assumption: a
-    changed input (deeper layers *do* see threshold-dependent inputs)
-    changes the fingerprint and misses.  A small per-layer LRU bounds
-    memory — sweep-invariant entries (the first conv always; every conv
-    at ``threshold=inf`` or in single-conv models) are re-hit every
-    iteration and therefore never evicted.
-
-    :attr:`prep_calls` counts actual cache constructions per layer (the
-    quantity the sweep amortizes); :attr:`hits`/:attr:`misses` summarize
-    reuse.  Store and counters are guarded by an internal lock: sweep
-    drivers are single-threaded, but an engine whose executors carry this
-    provider can be shared with multi-threaded callers (repro.serve
-    workers), and the LRU bookkeeping must not interleave.  The expensive
-    cache *construction* happens outside the lock; a racing duplicate
-    build is benign (content-addressed, last write wins).
-    """
-
-    def __init__(self, capacity_per_layer: int = 8) -> None:
-        if capacity_per_layer < 1:
-            raise ValueError("capacity_per_layer must be >= 1")
-        self.capacity_per_layer = capacity_per_layer
-        self._lock = threading.Lock()
-        self._store: "OrderedDict[tuple, ColumnCache]" = OrderedDict()
-        self._per_layer: dict[str, int] = {}
-        self.prep_calls: dict[str, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self._installed: list[ODQConvExecutor] = []
-
-    @staticmethod
-    def fingerprint(x: np.ndarray) -> bytes:
-        """BLAKE2b digest of the input's bytes (plus shape/dtype)."""
-        arr = np.ascontiguousarray(x)
-        h = hashlib.blake2b(digest_size=16)
-        h.update(str((arr.shape, arr.dtype.str)).encode())
-        h.update(arr.view(np.uint8).data)
-        return h.digest()
-
-    def __call__(self, executor: ODQConvExecutor, x: np.ndarray,
-                 compensate: bool) -> ColumnCache:
-        layer = executor.info.name
-        key = (layer, self.fingerprint(x), bool(compensate))
-        with self._lock:
-            cache = self._store.get(key)
-            if cache is not None:
-                self._store.move_to_end(key)
-                self.hits += 1
-                return cache
-            self.misses += 1
-            self.prep_calls[layer] = self.prep_calls.get(layer, 0) + 1
-        cache = executor._fresh_cache(x, compensate)
-        with self._lock:
-            self._store[key] = cache
-            n = self._per_layer.get(layer, 0) + 1
-            self._per_layer[layer] = n
-            if n > self.capacity_per_layer:
-                # Evict this layer's least-recently-used entry.
-                for k in self._store:
-                    if k[0] == layer:
-                        del self._store[k]
-                        self._per_layer[layer] = n - 1
-                        break
-        return cache
-
-    # -- wiring ------------------------------------------------------------
-
-    def install(self, engine: QuantizedInferenceEngine) -> int:
-        """Set this store as the cache provider on every ODQ executor."""
-        count = 0
-        for ex in engine.executors.values():
-            if isinstance(ex, ODQConvExecutor):
-                ex.cache_provider = self
-                self._installed.append(ex)
-                count += 1
-        return count
-
-    def uninstall(self) -> None:
-        for ex in self._installed:
-            if ex.cache_provider is self:
-                ex.cache_provider = None
-        self._installed.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "prep_calls": dict(self.prep_calls),
-                "entries": len(self._store),
-            }
 
 
 @dataclass
@@ -194,12 +85,12 @@ class _SharedSweepEngine:
     mask and result-generation steps), while calibration and freezing
     depend only on ``(model weights, x_calib)`` — so one engine calibrated
     once produces byte-identical results to a fresh engine per candidate,
-    at one calibration instead of N.  A :class:`SweepColumnCache` rides
-    along so the quantize→pad→im2col prep of sweep-invariant layer inputs
-    is also paid once for the whole sweep.
+    at one calibration instead of N.  Each call still builds its own
+    per-layer column caches: nothing is kept from one candidate to the
+    next but the frozen engine.
 
     Only valid when no per-candidate retraining happens (``finetune``
-    changes the weights, which invalidates both reuses).
+    changes the weights, which invalidates the calibration).
     """
 
     def __init__(
@@ -208,13 +99,10 @@ class _SharedSweepEngine:
         x_calib: np.ndarray,
         total_bits: int,
         low_bits: int,
-        cache_capacity: int = 8,
     ) -> None:
         self.engine = QuantizedInferenceEngine(
             model, odq_scheme(0.0, total_bits=total_bits, low_bits=low_bits)
         )
-        self.cache = SweepColumnCache(cache_capacity)
-        self.cache.install(self.engine)
         self.engine.calibrate(x_calib)
 
     def evaluate_at(
@@ -229,7 +117,6 @@ class _SharedSweepEngine:
         return acc, self.engine.mean_sensitive_fraction()
 
     def close(self) -> None:
-        self.cache.uninstall()
         self.engine.restore()
 
 
@@ -285,11 +172,10 @@ def adaptive_threshold_search(
     ``{"x_train": ..., "y_train": ..., "epochs": 2, "lr": 0.005}``.
     Each candidate trains a scratch copy; the input model is untouched.
 
-    Without retraining the candidates share one calibrated engine and a
-    :class:`SweepColumnCache` (see :class:`_SharedSweepEngine`): the
-    results are byte-identical to the per-candidate rebuild, but the
-    calibration pass and each layer's quantize→pad→im2col prep for
-    unchanged inputs are paid once for the whole search.
+    Without retraining the candidates share one calibrated engine (see
+    :class:`_SharedSweepEngine`): the results are byte-identical to the
+    per-candidate rebuild, but the calibration pass is paid once for the
+    whole search.
     """
     from repro.core.schemes import fp32_scheme
 
@@ -354,11 +240,9 @@ def threshold_sweep(
     ``finetune`` retrains a scratch copy per threshold (see
     :func:`adaptive_threshold_search`), matching the paper's procedure.
 
-    Without retraining, all points share one calibrated engine plus a
-    :class:`SweepColumnCache` — byte-identical
-    :class:`ThresholdSweepPoint` values, but one calibration and (for
-    sweep-invariant layer inputs) one im2col prep per layer for the
-    entire sweep instead of one per point.
+    Without retraining, all points share one calibrated engine —
+    byte-identical :class:`ThresholdSweepPoint` values, but one
+    calibration for the entire sweep instead of one per point.
     """
     points = []
     if finetune is None:
@@ -402,7 +286,6 @@ def threshold_sweep(
 
 
 __all__ = [
-    "SweepColumnCache",
     "ThresholdSearchResult",
     "initial_threshold",
     "adaptive_threshold_search",

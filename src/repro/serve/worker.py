@@ -6,7 +6,8 @@ reusable but deliberately not thread-parallel — see the engine docstring)
 and loops: pull a coalesced :class:`~repro.serve.batcher.MicroBatch`,
 run ``engine.infer``, split results back to the request futures, and
 record metrics (batch size, queue wait, inference latency, per-layer
-sensitivity densities).
+sensitivity densities).  When a coalesced batch raises, each of its
+requests is re-run alone, so one bad request fails only itself.
 
 Shutdown is graceful: the pool closes the batcher (failing queued
 requests), then joins every thread with a bounded timeout.
@@ -18,10 +19,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.pipeline import QuantizedInferenceEngine
 from repro.obs import trace
 from repro.obs.log import get_logger
-from repro.serve.batcher import MicroBatcher
+from repro.serve.batcher import MicroBatch, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.session import ModelSession
 
@@ -95,7 +98,17 @@ class WorkerPool:
             raise ValueError("num_workers must be >= 1")
         self.session = session
         self.batcher = batcher
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = m = metrics if metrics is not None else MetricsRegistry()
+        self._requests_total = m.counter("requests_total", "requests completed")
+        self._images_total = m.counter("images_total", "images inferred")
+        self._errors_total = m.counter("errors_total", "failed batches")
+        self._batch_hist = m.histogram(
+            "batch_size", "images per dispatched micro-batch"
+        )
+        self._wait_hist = m.histogram("queue_wait_ms", "request time in queue")
+        self._infer_hist = m.histogram(
+            "infer_ms", "engine latency per micro-batch"
+        )
         self.drift = drift
         self._stop = threading.Event()
         self._started = False
@@ -143,63 +156,78 @@ class WorkerPool:
     def _run(self, index: int) -> None:
         worker = self._workers[index]
         engine, stats = worker.engine, worker.stats
-        m = self.metrics
-        requests_total = m.counter("requests_total", "requests completed")
-        images_total = m.counter("images_total", "images inferred")
-        errors_total = m.counter("errors_total", "failed batches")
-        batch_hist = m.histogram("batch_size", "images per dispatched micro-batch")
-        wait_hist = m.histogram("queue_wait_ms", "request time in queue")
-        infer_hist = m.histogram("infer_ms", "engine latency per micro-batch")
-
         while not self._stop.is_set():
             batch = self.batcher.next_batch(timeout=self.POLL_SECONDS)
             if batch is None:
                 if self.batcher.closed:
                     break
                 continue
-            t0 = time.perf_counter()
-            ctxs = batch.trace_contexts()
-            try:
-                # Span nesting (same thread): serve.batch → engine.infer
-                # → engine.layer → odq.* phases.  A coalesced batch can
-                # carry several request contexts: the span parents under
-                # the first and lists the rest by trace id.
-                with trace.get_tracer().activate(
-                    ctxs[0] if ctxs else None
-                ), trace.span(
-                    "serve.batch", worker=stats.name, batch=batch.size
-                ) as sp:
-                    if len(ctxs) > 1:
-                        sp.set(
-                            extra_trace_ids=[c.trace_id for c in ctxs[1:]]
-                        )
-                    outputs = engine.infer(batch.stack())
-                    sp.add("requests", len(batch.requests))
-            except BaseException as exc:  # noqa: BLE001 — forwarded to futures
-                stats.errors += 1
-                errors_total.inc()
-                batch.fail(exc)
-                _log.warning(
-                    "batch_failed",
-                    worker=stats.name,
-                    batch=batch.size,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            elapsed = time.perf_counter() - t0
-            batch.complete(outputs)
+            runs = [batch]
+            while runs:
+                run = runs.pop(0)
+                try:
+                    outputs, elapsed = self._infer(engine, stats, run)
+                except BaseException as exc:  # noqa: BLE001 — forwarded to futures
+                    if len(run.requests) == 1:
+                        self._fail(stats, run, exc)
+                    else:
+                        # One bad request must not fail its batch-mates:
+                        # run each request alone; only the ones that raise
+                        # again fail.
+                        runs = [
+                            MicroBatch([r], created_at=run.created_at)
+                            for r in run.requests
+                        ]
+                    continue
+                self._complete(stats, run, outputs, elapsed)
 
-            stats.batches += 1
-            stats.images += batch.size
-            stats.busy_seconds += elapsed
-            stats.last_batch_at = time.time()
-            requests_total.inc(len(batch.requests))
-            images_total.inc(batch.size)
-            batch_hist.observe(batch.size)
-            infer_hist.observe(elapsed * 1000.0)
-            for wait in batch.queue_waits():
-                wait_hist.observe(wait * 1000.0)
-            self._publish_layer_densities(m)
+    def _infer(self, engine: QuantizedInferenceEngine, stats: WorkerStats,
+               batch: MicroBatch) -> tuple[np.ndarray, float]:
+        """Run one batch through the engine: (stacked outputs, seconds)."""
+        t0 = time.perf_counter()
+        ctxs = batch.trace_contexts()
+        # Span nesting (same thread): serve.batch → engine.infer
+        # → engine.layer → odq.* phases.  A coalesced batch can carry
+        # several request contexts: the span parents under the first and
+        # lists the rest by trace id.
+        with trace.get_tracer().activate(
+            ctxs[0] if ctxs else None
+        ), trace.span(
+            "serve.batch", worker=stats.name, batch=batch.size
+        ) as sp:
+            if len(ctxs) > 1:
+                sp.set(extra_trace_ids=[c.trace_id for c in ctxs[1:]])
+            outputs = engine.infer(batch.stack())
+            sp.add("requests", len(batch.requests))
+        return outputs, time.perf_counter() - t0
+
+    def _fail(self, stats: WorkerStats, batch: MicroBatch,
+              exc: BaseException) -> None:
+        stats.errors += 1
+        self._errors_total.inc()
+        batch.fail(exc)
+        _log.warning(
+            "batch_failed",
+            worker=stats.name,
+            batch=batch.size,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+    def _complete(self, stats: WorkerStats, batch: MicroBatch,
+                  outputs: np.ndarray, elapsed: float) -> None:
+        """Resolve the batch's futures and record its metrics."""
+        batch.complete(outputs)
+        stats.batches += 1
+        stats.images += batch.size
+        stats.busy_seconds += elapsed
+        stats.last_batch_at = time.time()
+        self._requests_total.inc(len(batch.requests))
+        self._images_total.inc(batch.size)
+        self._batch_hist.observe(batch.size)
+        self._infer_hist.observe(elapsed * 1000.0)
+        for wait in batch.queue_waits():
+            self._wait_hist.observe(wait * 1000.0)
+        self._publish_layer_densities(self.metrics)
 
     def _publish_layer_densities(self, m: MetricsRegistry) -> None:
         """Aggregate sensitivity-mask density across worker engines."""

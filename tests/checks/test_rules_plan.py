@@ -1,4 +1,4 @@
-"""PLN5xx fixtures: positive, negative, and noqa-suppressed snippets."""
+"""PLN5xx fixtures: positive and negative snippets."""
 
 import textwrap
 
@@ -11,57 +11,6 @@ def scan(src, **kw):
 
 def rules_of(findings):
     return [f.rule for f in findings]
-
-
-class TestPLN501AdhocColumnCache:
-    def test_module_level_construction_flagged(self):
-        src = """
-        from repro.core.colcache import ColumnCache
-        cache = ColumnCache(x, qp, 3, 1, 1, 2, True)
-        """
-        findings = scan(src)
-        assert rules_of(findings) == ["PLN501"]
-        assert "_build_cache" in findings[0].message
-
-    def test_construction_in_hot_function_flagged(self):
-        src = """
-        from repro.core import colcache
-
-        def run_layer(self, x):
-            cache = colcache.ColumnCache(x, self.qp, 3, 1, 1, 2, True)
-            return cache.cols
-        """
-        assert rules_of(scan(src)) == ["PLN501"]
-
-    def test_fresh_cache_factory_is_clean(self):
-        src = """
-        from repro.core.colcache import ColumnCache
-
-        class Executor:
-            def _fresh_cache(self, x, compensate=None):
-                return ColumnCache(x, self.qp, 3, 1, 1, 2, compensate)
-        """
-        assert scan(src) == []
-
-    def test_sweep_cache_construction_is_clean(self):
-        src = """
-        from repro.core.colcache import SweepColumnCache
-
-        def make_provider():
-            return SweepColumnCache(capacity=4)
-        """
-        assert scan(src) == []
-
-    def test_colcache_module_is_exempt(self):
-        src = "cache = ColumnCache(x, qp, 3, 1, 1, 2, True)\n"
-        assert scan(src, path="src/repro/core/colcache.py") == []
-
-    def test_noqa_with_reason_suppresses(self):
-        src = (
-            "cache = ColumnCache(x, qp, 3, 1, 1, 2, True)"
-            "  # repro: noqa[PLN501] — pure-function API, no provider exists\n"
-        )
-        assert scan(src) == []
 
 
 class TestPLN502ExternalPlanStateMutation:
@@ -125,3 +74,29 @@ class TestPLN503ForwardShadowing:
     def test_plan_tracer_is_exempt(self):
         src = 'module.__dict__["forward"] = traced\n'
         assert scan(src, path="src/repro/core/plan.py") == []
+
+
+class TestPLN504InplaceFrozenArrayWrite:
+    def test_augmented_assignment_flagged(self):
+        src = """
+        def sgd_step(p, lr):
+            p.data -= lr * p.grad
+        """
+        assert rules_of(scan(src)) == ["PLN504"]
+
+    def test_subscript_store_flagged(self):
+        src = """
+        def reset(bn, conv):
+            bn.running_mean[:] = 0.0
+            conv.weight.data[0] = 1.0
+        """
+        assert rules_of(scan(src)) == ["PLN504", "PLN504"]
+
+    def test_rebinding_is_clean(self):
+        src = """
+        def sgd_step(p, bn, lr):
+            p.data = p.data - lr * p.grad
+            bn.running_var = 0.9 * bn.running_var + 0.1
+            x = p.data[0]
+        """
+        assert scan(src) == []

@@ -16,7 +16,6 @@ and computes their exact results in one GEMM against the packed
 import numpy as np
 import pytest
 
-from repro.core.base import int_conv2d
 from repro.core.colcache import ColumnCache
 from repro.core.odq import (
     EXEC_PATHS,
@@ -223,18 +222,6 @@ class TestColumnCache:
     def test_no_compensation_skips_e_low(self, rng):
         _, _, cache = self._cache(rng, compensate=False)
         assert cache.e_low == 0.0
-
-
-class TestPrimitives:
-    def test_int_conv2d_cols_overload(self, rng):
-        q = rng.integers(0, 16, size=(2, 3, 6, 6)).astype(np.int64)
-        qw = rng.integers(-8, 8, size=(4, 3, 3, 3)).astype(np.int64)
-        ref = int_conv2d(q, qw, 1, 1, pad_value=5)
-        qp = pad_nchw(q.astype(np.float64), 1, value=5.0)
-        cols = im2col(qp, 3, 1, 0)
-        out = int_conv2d(q, qw, 1, 1, cols=cols)
-        assert out.dtype == np.float64  # no rint round-trip
-        np.testing.assert_array_equal(out, ref.astype(np.float64))
 
 
 class TestProfileIntegration:

@@ -1,24 +1,18 @@
-"""Sweep-time column-cache reuse: byte-identical results, one prep per
-distinct layer input.
+"""Sweep-time engine reuse: byte-identical results to fresh engines.
 
-The tentpole claim: ``threshold_sweep`` / ``adaptive_threshold_search``
-with the shared engine + :class:`SweepColumnCache` return *exactly* the
-values the old fresh-engine-per-threshold procedure produced.  Verified
-here by rebuilding that old procedure inline and comparing tuples with
-``==`` (floats included — same ops in the same order, so bit equality is
-the requirement, not approx).
+``threshold_sweep`` / ``adaptive_threshold_search`` run every candidate
+threshold through one calibrated engine.  They must return *exactly* the
+values the fresh-engine-per-threshold procedure produces.  Verified here
+by rebuilding that procedure inline and comparing tuples with ``==``
+(floats included — same ops in the same order, so bit equality is the
+requirement, not approx).
 """
 
 import numpy as np
 
-from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import QuantizedInferenceEngine, run_scheme
 from repro.core.schemes import odq_scheme
-from repro.core.threshold import (
-    SweepColumnCache,
-    adaptive_threshold_search,
-    threshold_sweep,
-)
+from repro.core.threshold import adaptive_threshold_search, threshold_sweep
 
 THETAS = [2.0, 1.0, 0.5, 0.25]
 
@@ -83,133 +77,3 @@ class TestSweepEquivalence:
                 model, odq_scheme(theta), x_calib, x_val, y_val
             )
             assert acc == ref
-
-
-class TestCacheAccounting:
-    def test_first_conv_preps_once_per_sweep(self, trained_resnet, calib_batch):
-        """The network input never depends on the threshold, so the first
-        conv's im2col prep must run exactly once across the whole sweep;
-        deeper convs see threshold-dependent inputs and may miss."""
-        model, _ = trained_resnet
-        x = calib_batch[:8]
-        engine = QuantizedInferenceEngine(model, odq_scheme(0.0))
-        cache = SweepColumnCache()
-        try:
-            installed = cache.install(engine)
-            assert installed >= 1
-            engine.calibrate(x)
-            odq_execs = [
-                ex for ex in engine.executors.values()
-                if isinstance(ex, ODQConvExecutor)
-            ]
-            first = odq_execs[0].info.name
-            for theta in THETAS:
-                for ex in odq_execs:
-                    ex.threshold = float(theta)
-                engine.reset_records()
-                engine.forward(x)
-        finally:
-            cache.uninstall()
-            engine.restore()
-        stats = cache.stats()
-        assert stats["prep_calls"][first] == 1
-        assert stats["hits"] >= len(THETAS) - 1
-        # Every layer ran every iteration; misses are bounded by layers x thetas.
-        assert stats["misses"] <= len(odq_execs) * len(THETAS)
-
-    def test_uninstall_detaches_provider(self, trained_resnet, calib_batch):
-        model, _ = trained_resnet
-        engine = QuantizedInferenceEngine(model, odq_scheme(0.5))
-        cache = SweepColumnCache()
-        try:
-            cache.install(engine)
-            cache.uninstall()
-            for ex in engine.executors.values():
-                if isinstance(ex, ODQConvExecutor):
-                    assert ex.cache_provider is None
-        finally:
-            engine.restore()
-
-    def test_lru_eviction_bounds_entries(self):
-        """Per-layer capacity is enforced via LRU eviction."""
-
-        class _FakeExec:
-            class info:
-                name = "conv"
-
-            def _fresh_cache(self, x, compensate):
-                return object()
-
-        cache = SweepColumnCache(capacity_per_layer=2)
-        ex = _FakeExec()
-        xs = [np.full((4,), float(i)) for i in range(5)]
-        for x in xs:
-            cache(ex, x, True)
-        assert cache.stats()["entries"] <= 2
-        assert cache.stats()["prep_calls"]["conv"] == 5
-        # Most-recent entry still hits.
-        cache(ex, xs[-1], True)
-        assert cache.hits == 1
-
-    def test_fingerprint_distinguishes_dtype_and_shape(self):
-        x = np.arange(16, dtype=np.float64)
-        assert SweepColumnCache.fingerprint(x) != SweepColumnCache.fingerprint(
-            x.astype(np.float32)
-        )
-        assert SweepColumnCache.fingerprint(x) != SweepColumnCache.fingerprint(
-            x.reshape(4, 4)
-        )
-        assert SweepColumnCache.fingerprint(x) == SweepColumnCache.fingerprint(
-            x.copy()
-        )
-
-
-class TestPackedWeightsStore:
-    """Freeze-time packed-operand reuse (content-addressed, process-wide).
-
-    The sweep rebuilds engines whose quantized weights are identical
-    across thresholds; re-freezing must hit the store instead of
-    re-packing, and hits must alias the same PackedConvWeights object.
-    """
-
-    def test_refreeze_same_weights_hits_store(
-        self, trained_resnet, calib_batch
-    ):
-        from repro.core.colcache import packed_store
-
-        model, _ = trained_resnet
-        x = calib_batch[:8]
-        store = packed_store()
-        store.clear()
-
-        e1 = QuantizedInferenceEngine(model, odq_scheme(0.5))
-        try:
-            e1.calibrate(x)
-            odq1 = [
-                ex for ex in e1.executors.values()
-                if isinstance(ex, ODQConvExecutor)
-            ]
-            packed1 = {ex.info.name: ex._packed for ex in odq1}
-            s1 = store.stats()
-            # First freeze packs every distinct conv once, hits nothing.
-            assert s1["misses"] == len(odq1)
-            assert s1["hits"] == 0
-        finally:
-            e1.restore()
-
-        # Different threshold, same weights: packing is theta-independent,
-        # so the second freeze must be pure hits — zero new packs.
-        e2 = QuantizedInferenceEngine(model, odq_scheme(0.25))
-        try:
-            e2.calibrate(x)
-            odq2 = [
-                ex for ex in e2.executors.values()
-                if isinstance(ex, ODQConvExecutor)
-            ]
-            s2 = store.stats()
-            assert s2["misses"] == s1["misses"]
-            assert s2["hits"] == len(odq2)
-            for ex in odq2:
-                assert ex._packed is packed1[ex.info.name]
-        finally:
-            e2.restore()

@@ -98,41 +98,37 @@ class TestAccuracyShape:
         assert 0.05 < sens / total < 0.95
 
 
-class TestPerformanceShape:
-    def test_execution_time_ordering(self, scheme_results):
-        """Fig. 19: ODQ < DRQ < INT8 < INT16 execution time."""
-        sims = {}
+@pytest.fixture(scope="module")
+def simulations(scheme_results):
+    """Simulate each Fig.-19/21 accelerator once; share across the
+    performance-shape tests (each simulation takes seconds)."""
+    return {
+        scheme: build_accelerator(accel).simulate(
+            workloads_from_records(scheme_results[scheme][1])
+        )
         for scheme, accel in [("int16", "INT16"), ("int8", "INT8"),
-                              ("drq84", "DRQ"), ("odq", "ODQ")]:
-            _, records = scheme_results[scheme]
-            sims[scheme] = build_accelerator(accel).simulate(
-                workloads_from_records(records)
-            )
-        t = {k: s.total_cycles for k, s in sims.items()}
+                              ("drq84", "DRQ"), ("odq", "ODQ")]
+    }
+
+
+class TestPerformanceShape:
+    def test_execution_time_ordering(self, simulations):
+        """Fig. 19: ODQ < DRQ < INT8 < INT16 execution time."""
+        t = {k: s.total_cycles for k, s in simulations.items()}
         assert t["odq"] < t["drq84"] < t["int8"] < t["int16"]
 
-    def test_odq_speedup_magnitudes(self, scheme_results):
+    def test_odq_speedup_magnitudes(self, simulations):
         """Shape check on the headline numbers: large vs INT16 (paper
         97.8%), substantial vs DRQ (paper 67.6%)."""
-        sims = {}
-        for scheme, accel in [("int16", "INT16"), ("drq84", "DRQ"), ("odq", "ODQ")]:
-            _, records = scheme_results[scheme]
-            sims[scheme] = build_accelerator(accel).simulate(
-                workloads_from_records(records)
-            )
+        sims = simulations
         vs_int16 = 1 - sims["odq"].total_cycles / sims["int16"].total_cycles
         vs_drq = 1 - sims["odq"].total_cycles / sims["drq84"].total_cycles
         assert vs_int16 > 0.85
         assert vs_drq > 0.2
 
-    def test_energy_ordering(self, scheme_results):
+    def test_energy_ordering(self, simulations):
         """Fig. 21: same ordering for energy."""
-        energies = {}
-        for scheme, accel in [("int16", "INT16"), ("int8", "INT8"),
-                              ("drq84", "DRQ"), ("odq", "ODQ")]:
-            _, records = scheme_results[scheme]
-            sim = build_accelerator(accel).simulate(workloads_from_records(records))
-            energies[scheme] = sim.total_energy.total_pj
+        energies = {k: s.total_energy.total_pj for k, s in simulations.items()}
         assert energies["odq"] < energies["drq84"] < energies["int8"] < energies["int16"]
 
 

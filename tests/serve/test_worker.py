@@ -88,6 +88,48 @@ class TestDispatch:
         assert pool.stats()[0]["errors"] == 1
 
 
+class TestBatchMateIsolation:
+    """A failing coalesced batch re-runs each request alone, so only the
+    request that raises again fails; the others get their solo logits."""
+
+    @staticmethod
+    def _coalesced(session, *inputs):
+        """Submit before the single worker starts, so all form one batch."""
+        batcher = MicroBatcher(max_batch_size=8)
+        pool = WorkerPool(session, batcher, metrics=MetricsRegistry(), num_workers=1)
+        futures = [batcher.submit(x) for x in inputs]
+        with pool:
+            for f in futures:
+                f.exception(timeout=30)
+        return pool, futures
+
+    def test_mis_shaped_submit_leaves_batch_mate_exact(self, session):
+        good = session.sample_inputs[0][None]
+        solo = session.engine.infer(good)
+        pool, (bad, ok) = self._coalesced(session, np.zeros((1, 7, 9, 9)), good)
+        with pytest.raises(Exception):
+            bad.result()
+        assert (ok.result() == solo).all()
+        assert pool.stats()[0]["errors"] == 1
+
+    def test_raising_engine_leaves_batch_mate_exact(self, session, monkeypatch):
+        good = session.sample_inputs[0][None]
+        marker = np.full_like(good, 0.25)
+        solo = session.engine.infer(good)
+        infer = session.engine.infer
+
+        def infer_or_raise(x):
+            if (x == 0.25).all(axis=(1, 2, 3)).any():
+                raise RuntimeError("marker image")
+            return infer(x)
+
+        monkeypatch.setattr(session.engine, "infer", infer_or_raise)
+        _, (ok, bad) = self._coalesced(session, good, marker)
+        with pytest.raises(RuntimeError, match="marker"):
+            bad.result()
+        assert (ok.result() == solo).all()
+
+
 class TestLifecycle:
     def test_workers_start_and_join(self, session):
         pool, _, _ = _drive(session, 4)
