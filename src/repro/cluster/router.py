@@ -1,4 +1,4 @@
-"""The cluster router: deterministic sharding, work-aware placement.
+"""The cluster router: deterministic sharding, least-queued placement.
 
 :class:`ClusterPool` is the process-parallel sibling of
 :class:`repro.serve.worker.WorkerPool`: the front end submits NumPy
@@ -18,14 +18,11 @@ Correctness contract — **bit-exact scaling**
     deterministically from the same config), so ``--replicas 8`` equals
     ``--replicas 1`` byte for byte.  ``repro bench-serve`` gates on it.
 
-Scheduling — **mask-aware placement**
-    *Which* replica runs a chunk is load-dependent: placement equalizes
-    predicted sensitive-row work (:func:`repro.cluster.sizing.place_chunks`),
-    using the executor census the replicas publish through the shared
-    stats block.  Submissions carrying an ``affinity`` key instead pin
-    to the consistent-hash ring owner (session caches stay warm on one
-    replica), falling over along the ring's preference order when the
-    owner is draining or down.
+Scheduling — **fewest queued images**
+    *Which* replica runs a chunk is load-dependent: each chunk, in
+    submission order, goes to the ``up`` replica with the fewest queued
+    plus in-flight images, the lowest replica id on ties.  Any replica
+    gives the same bytes for a chunk, so placement only balances load.
 
 Fault tolerance
     Each replica has exactly one router I/O thread that owns its control
@@ -48,9 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.hashring import HashRing
 from repro.cluster.shm import STATS_FIELDS
-from repro.cluster.sizing import place_chunks, predicted_chunk_cost
 from repro.cluster.supervisor import ReplicaHandle, Supervisor, slot_floats_for
 from repro.obs import trace
 from repro.obs.log import get_logger
@@ -69,7 +64,7 @@ DEFAULT_SLOTS = 4
 IO_POLL_SECONDS = 0.02
 
 #: Counter fields mirrored from the shared stats block into /metrics.
-_COUNTER_FIELDS = ("requests", "images", "batches", "errors")
+_COUNTER_FIELDS = ("images", "batches", "errors")
 
 
 class ClusterClosed(RuntimeError):
@@ -148,20 +143,17 @@ class _ReplicaIO:
     probes: deque = field(default_factory=deque)      #: outstanding _CensusProbe
     free_slots: list = field(default_factory=list)
     seq: int = 0
-    state: str = "up"            #: up | draining | drained | failed | stopped
-    restart_after_drain: bool = False
-    drained: threading.Event = field(default_factory=threading.Event)
+    state: str = "up"            #: up | draining | drained | failed
     thread: threading.Thread | None = None
 
     def __post_init__(self):
         self.free_slots = list(range(self.slots))
 
-    def outstanding_cost(self, sensitive_ratio: float) -> float:
-        """Predicted work queued + in flight (caller holds no lock)."""
+    def pending_images(self) -> int:
+        """Images queued + in flight (caller holds no lock)."""
         with self.lock:
-            counts = [c.images for c in self.queue if isinstance(c, _Chunk)]
-            counts += [c.images for c, _slot in self.inflight.values()]
-        return sum(predicted_chunk_cost(n, sensitive_ratio) for n in counts)
+            queued = sum(c.images for c in self.queue if isinstance(c, _Chunk))
+            return queued + sum(c.images for c, _slot in self.inflight.values())
 
 
 class ClusterPool:
@@ -216,7 +208,6 @@ class ClusterPool:
             on_death=self._on_replica_death,
             on_failed=self._on_replica_failed,
         )
-        self.ring = HashRing(range(self.replicas))
         self._replicas: dict[int, _ReplicaIO] = {
             rid: _ReplicaIO(replica_id=rid, slots=slots)
             for rid in range(self.replicas)
@@ -309,18 +300,14 @@ class ClusterPool:
     # -- submission ---------------------------------------------------------
 
     def submit(
-        self,
-        inputs: np.ndarray,
-        affinity: str | None = None,
-        ctx: "trace.TraceContext | None" = None,
+        self, inputs: np.ndarray, ctx: "trace.TraceContext | None" = None
     ) -> Future:
         """Enqueue a batch; returns a Future of its ``(n, classes)`` logits.
 
         The batch is cut into deterministic chunks of at most
         ``config.max_batch_size`` images (see the module docstring for
-        why boundaries must not depend on load) which are placed onto
-        replicas to equalize predicted sensitive-row work — or pinned to
-        ``affinity``'s ring owner when given.  ``ctx`` (the request's
+        why boundaries must not depend on load), each placed on the
+        replica with the fewest queued images.  ``ctx`` (the request's
         :class:`~repro.obs.trace.TraceContext`) rides along on every
         chunk so replica-side spans parent under the request.
         """
@@ -353,7 +340,7 @@ class ClusterPool:
             )
             for o in offsets
         ]
-        targets = self._place(chunks, affinity)
+        targets = self._place(chunks)
         with self._state_lock:
             self.submitted += 1
         for chunk, rid in zip(chunks, targets):
@@ -374,21 +361,23 @@ class ClusterPool:
             rid for rid, st in self._replicas.items() if st.state == "up"
         ]
 
-    def _place(self, chunks: list[_Chunk], affinity: str | None) -> list[int]:
+    def _place(self, chunks: list[_Chunk]) -> list[int]:
+        """Target replica per chunk: fewest queued + in-flight images.
+
+        Chunks are placed in order onto the placeable replicas, each
+        counted onto its target before the next is placed; ties go to
+        the lowest replica id.
+        """
         candidates = self._placeable()
         if not candidates:
             raise ClusterClosed("no live replicas")
-        if affinity is not None:
-            for rid in self.ring.preference(affinity):
-                if rid in candidates:
-                    return [rid] * len(chunks)
-            return [candidates[0]] * len(chunks)
-        ratio = self.sensitive_ratio()
-        loads = [
-            self._replicas[rid].outstanding_cost(ratio) for rid in candidates
-        ]
-        local = place_chunks([c.images for c in chunks], loads, ratio)
-        return [candidates[i] for i in local]
+        loads = {rid: self._replicas[rid].pending_images() for rid in candidates}
+        targets = []
+        for chunk in chunks:
+            rid = min(candidates, key=lambda r: (loads[r], r))
+            loads[rid] += chunk.images
+            targets.append(rid)
+        return targets
 
     def sensitive_ratio(self) -> float:
         """Cluster-wide census ratio: rows computed / rows seen (1.0 cold)."""
@@ -407,27 +396,19 @@ class ClusterPool:
         st = self._replicas[rid]
         while True:
             handle = self.supervisor.handle(rid)
-            outcome = "crashed"
             try:
-                outcome = self._pump(st, handle)
+                self._pump(st, handle)
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
                 pass
-            if outcome == "restart":
-                # Graceful drain with restart: spawn the next generation
-                # and keep pumping on this same thread.
-                self._restart_after_drain(st)
-                continue
-            if st.state in ("drained", "stopped") or self.closed:
+            if st.state == "drained" or self.closed:
                 return
             if not self._recover(st, handle):
                 return
 
-    def _pump(self, st: _ReplicaIO, handle: ReplicaHandle) -> str:
-        """Drive one replica generation until drain, death, or shutdown.
+    def _pump(self, st: _ReplicaIO, handle: ReplicaHandle) -> None:
+        """Drive one replica generation until its shutdown drain is done.
 
-        Returns ``"drained"`` after a terminal drain or ``"restart"``
-        when the drain should be followed by the next generation; raises
-        a pipe/EOF error when the replica died underneath us.
+        Raises a pipe/EOF error when the replica died underneath us.
         """
         conn = handle.conn
         while True:
@@ -436,7 +417,7 @@ class ClusterPool:
             self._send_ready(st, conn)
             if st.state == "draining" and self._drain_idle(st):
                 self._finish_drain(st, handle)
-                return "restart" if st.restart_after_drain else "drained"
+                return
             if conn.poll(IO_POLL_SECONDS):
                 self._on_message(st, conn.recv())
             elif not handle.process.is_alive():
@@ -548,22 +529,12 @@ class ClusterPool:
             pass
         handle.process.join(2.0)
         st.state = "drained"
-        st.drained.set()
-
-    def _restart_after_drain(self, st: _ReplicaIO) -> None:
-        st.restart_after_drain = False
-        self.supervisor.restart(st.replica_id)
-        with st.lock:
-            st.free_slots = list(range(st.slots))
-            st.inflight.clear()
-            st.state = "up"
-        st.drained.clear()
 
     def _recover(self, st: _ReplicaIO, dead_handle: ReplicaHandle) -> bool:
         """After a crash: requeue this generation's work, await respawn.
 
         Returns True when a new generation is up (the I/O loop should
-        continue), False when the replica is failed/stopped for good.
+        continue), False when the replica is failed or shutdown began.
         """
         with st.lock:
             pending = [chunk for chunk, _slot in st.inflight.values()]
@@ -597,13 +568,15 @@ class ClusterPool:
         return False
 
     def _redistribute(self, st: _ReplicaIO) -> None:
-        """Move a failed replica's queue to survivors (or fail it)."""
+        """Move a failed replica's queue to survivors (or fail it).
+
+        The replica's state is already ``failed``, so :meth:`_place`
+        only sees the survivors.
+        """
         with st.lock:
             chunks = [c for c in st.queue if isinstance(c, _Chunk)]
             st.queue.clear()
-        survivors = [
-            rid for rid in self._placeable() if rid != st.replica_id
-        ]
+        survivors = self._placeable()
         if not survivors:
             exc = ClusterClosed(
                 f"replica {st.replica_id} failed with no survivors"
@@ -611,11 +584,8 @@ class ClusterPool:
             for chunk in chunks:
                 chunk.submission.fail(exc)
             return
-        ratio = self.sensitive_ratio()
-        loads = [self._replicas[r].outstanding_cost(ratio) for r in survivors]
-        placement = place_chunks([c.images for c in chunks], loads, ratio)
-        for chunk, local in zip(chunks, placement):
-            target = self._replicas[survivors[local]]
+        for chunk, rid in zip(chunks, self._place(chunks)):
+            target = self._replicas[rid]
             with target.lock:
                 target.queue.append(chunk)
         if chunks:
@@ -640,35 +610,6 @@ class ClusterPool:
 
     def _on_replica_failed(self, rid: int) -> None:
         self._replicas[rid].state = "failed"
-        try:
-            self.ring.remove(rid)
-        except KeyError:  # pragma: no cover - already removed
-            pass
-
-    # -- drain / restart API -------------------------------------------------
-
-    def drain_replica(
-        self, rid: int, restart: bool = False, timeout: float = 30.0
-    ) -> bool:
-        """Gracefully drain one replica (finish its queue, exit cleanly).
-
-        With ``restart=True`` the replica's next generation is spawned
-        after the drain and the replica returns to service (a rolling
-        restart).  Returns True when the drain completed in time.
-        """
-        st = self._replicas[rid]
-        with st.lock:
-            if st.state != "up":
-                raise RuntimeError(f"replica {rid} is {st.state}, cannot drain")
-            st.restart_after_drain = restart
-            st.state = "draining"
-        ok = st.drained.wait(timeout)
-        if restart and ok:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline and st.state != "up":
-                time.sleep(IO_POLL_SECONDS)
-            return st.state == "up"
-        return ok
 
     # -- introspection -------------------------------------------------------
 

@@ -10,11 +10,11 @@ Two building blocks, both thin disciplined wrappers over
   the control :class:`~multiprocessing.connection.Connection` — array
   payloads never do.
 * :class:`ShmStatsBlock` — a tiny per-replica table of float64 fields
-  (heartbeat, request/image/error counters, busy seconds, sensitive-row
+  (heartbeat, image/batch/error counters, busy seconds, sensitive-row
   census).  Each replica writes **only its own row** (single-writer per
   row, so no cross-process lock is needed — float64 stores on aligned
   memory are atomic on every platform CPython runs on); the router reads
-  all rows for ``/healthz``, ``/metrics``, and work-aware placement.
+  all rows for ``/healthz`` and ``/metrics``.
 
 Lifecycle discipline (the THR204 invariant): every ``SharedMemory``
 ends up owned by a :class:`ShmSegment`, which pairs ``close()`` (unmap
@@ -165,7 +165,6 @@ STATS_FIELDS = (
     "pid",
     "alive",              #: 1.0 while the replica loop runs, 0.0 after drain
     "heartbeat",          #: time.time() of the last loop iteration
-    "requests",
     "images",
     "batches",
     "errors",

@@ -325,21 +325,6 @@ class Supervisor:
             self._draining.add(replica_id)
             self._handles[replica_id].state = "draining"
 
-    def clear_draining(self, replica_id: int) -> None:
-        with self._lock:
-            self._draining.discard(replica_id)
-
-    def restart(self, replica_id: int) -> ReplicaHandle:
-        """Spawn the next generation of a drained/stopped replica."""
-        with self._lock:
-            old = self._handles[replica_id]
-            if old.alive:
-                raise RuntimeError(
-                    f"replica {replica_id} still alive; drain it first"
-                )
-            self._draining.discard(replica_id)
-        return self._spawn(replica_id, generation=old.generation + 1)
-
     def liveness(self) -> list[dict]:
         """Per-replica liveness for ``/healthz`` (JSON-safe)."""
         stats = self.stats

@@ -325,7 +325,6 @@ def _serve(
             busy = time.perf_counter() - t0
             batches += 1
             stats.add(spec.replica_id, "batches", 1.0)
-            stats.add(spec.replica_id, "requests", 1.0)
             stats.add(spec.replica_id, "images", float(chunk.shape[0]))
             stats.add(spec.replica_id, "busy_seconds", busy)
             if engine is not None:

@@ -20,8 +20,7 @@ calibration baseline, and
   when the layer returns inside the band), so a drifting layer does not
   flood the logs.
 
-This is the signal the planned autoscaler / scheme-search consumers
-will read; thresholds are configured via ``ServeConfig.drift_band``.
+Thresholds are configured via ``ServeConfig.drift_band``.
 """
 
 from __future__ import annotations

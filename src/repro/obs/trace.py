@@ -41,7 +41,7 @@ Distributed tracing
 
 Spans parent through thread-local stacks, which stops at thread and
 process boundaries.  A :class:`TraceContext` carries the identity of a
-remote parent span — ``(trace_id, span_id, origin lane, request key)``
+remote parent span — ``(trace_id, span_id, origin lane)``
 — across those boundaries: the HTTP tier mints one per request with
 :func:`request_context`, the batcher/router serialize it alongside the
 work (:meth:`TraceContext.to_wire` is a picklable tuple, small enough
@@ -106,14 +106,12 @@ class TraceContext:
     ``origin`` is the :func:`process_lane` of the process that owns
     ``span_id`` — together they name the parent globally, so a span
     opened in another thread or process can parent under it even though
-    span ids are only unique per-process.  ``key`` carries the client's
-    replica-affinity/session key (purely informational here).
+    span ids are only unique per-process.
     """
 
     trace_id: str
     span_id: int
     origin: str
-    key: str | None = None
 
     def parent_ref(self) -> str:
         """Globally-unique reference to the parenting span."""
@@ -121,13 +119,13 @@ class TraceContext:
 
     def to_wire(self) -> tuple:
         """Plain-tuple form for pipes/pickles (see :meth:`from_wire`)."""
-        return (self.trace_id, self.span_id, self.origin, self.key)
+        return (self.trace_id, self.span_id, self.origin)
 
     @classmethod
     def from_wire(cls, wire: tuple | None) -> "TraceContext | None":
         if wire is None:
             return None
-        return cls(str(wire[0]), int(wire[1]), str(wire[2]), wire[3])
+        return cls(str(wire[0]), int(wire[1]), str(wire[2]))
 
     def rebased(self, span_id: int, origin: str) -> "TraceContext":
         """The same trace, re-parented under a new local span.
@@ -135,7 +133,7 @@ class TraceContext:
         Used at hop points (router dispatch) so downstream spans parent
         under the hop's span instead of skipping a level.
         """
-        return TraceContext(self.trace_id, span_id, origin, self.key)
+        return TraceContext(self.trace_id, span_id, origin)
 
 
 @dataclass
@@ -503,7 +501,7 @@ def current_context() -> TraceContext | None:
 
 
 @contextmanager
-def request_context(name: str, key: str | None = None, **attrs):
+def request_context(name: str, **attrs):
     """Mint and activate a fresh request trace: the trace-tree root.
 
     Opens a root span ``name`` (tagged ``trace_root`` so the collector
@@ -517,7 +515,7 @@ def request_context(name: str, key: str | None = None, **attrs):
         return
     tid = new_trace_id()
     with span(name, trace_id=tid, trace_root=True, **attrs) as sp:
-        ctx = TraceContext(tid, sp.span_id, process_lane(), key)
+        ctx = TraceContext(tid, sp.span_id, process_lane())
         with _GLOBAL.activate(ctx):
             yield sp, ctx
 

@@ -12,13 +12,11 @@ JSON-over-POST inference plus operational endpoints:
 =============  ======  ====================================================
 
 ``/predict`` accepts a single image (``C×H×W`` nested lists) under
-``"input"`` or one-or-more images under ``"inputs"`` (``N×C×H×W``), plus
-an optional ``"session"`` string — a replica-affinity key that pins the
-request to its consistent-hash replica when the server runs with
-``--replicas N`` (ignored by the single-process thread pool).  Each
-request is submitted to the active backend and the handler thread blocks
-on its future — ``ThreadingHTTPServer`` gives us one thread per in-flight
-request, which is exactly the producer model the backends expect.
+``"input"`` or one-or-more images under ``"inputs"`` (``N×C×H×W``); keys
+it does not know are ignored.  Each request is submitted to the active
+backend and the handler thread blocks on its future —
+``ThreadingHTTPServer`` gives us one thread per in-flight request, which
+is exactly the producer model the backends expect.
 
 Every response leaves in one ``sendall`` (status line, headers and body
 together) on a ``TCP_NODELAY`` socket, so no response waits out the
@@ -207,17 +205,13 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if not np.isfinite(arr).all():
             raise _ClientError("inputs must be finite (got NaN or Inf)")
 
-        affinity = payload.get("session")
-        if affinity is not None and not isinstance(affinity, str):
-            raise _ClientError('"session" (replica affinity key) must be a string')
-
         # Mint the request's trace context here — the outermost point
         # that knows the request — and hand it to the backend so worker
         # threads and replica processes parent under this span.
         with trace.request_context(
-            "serve.predict", key=affinity, batch=int(arr.shape[0])
+            "serve.predict", batch=int(arr.shape[0])
         ) as (_sp, ctx):
-            future = app.submit(arr, affinity=affinity, ctx=ctx)
+            future = app.submit(arr, ctx=ctx)
             logits = future.result(timeout=PREDICT_TIMEOUT_SECONDS)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
 

@@ -13,8 +13,8 @@ through the in-process thread pool:
 
 With ``replicas > 1`` the same front end drives the multi-process tier
 (:mod:`repro.cluster`) instead — N replica processes fed over
-shared-memory arenas, with consistent-hash session affinity and
-crash-respawn supervision:
+shared-memory arenas, with least-queued placement and crash-respawn
+supervision:
 
 .. code-block:: text
 
@@ -194,18 +194,15 @@ class InferenceServer:
 
     # -- request dispatch ---------------------------------------------------
 
-    def submit(self, arr: np.ndarray, affinity: str | None = None, ctx=None):
+    def submit(self, arr: np.ndarray, ctx=None):
         """Route a request batch to the active backend; returns a Future.
 
-        ``affinity`` (an opaque client session key) only matters in
-        cluster mode, where it pins the request to its consistent-hash
-        replica so per-session cache state stays warm; the thread pool
-        shares one engine set and ignores it.  ``ctx`` is the request's
-        :class:`~repro.obs.trace.TraceContext` (or ``None``), threaded
-        through so backend spans parent under the HTTP request span.
+        ``ctx`` is the request's :class:`~repro.obs.trace.TraceContext`
+        (or ``None``), threaded through so backend spans parent under
+        the HTTP request span.
         """
         if self.cluster is not None:
-            return self.cluster.submit(arr, affinity=affinity, ctx=ctx)
+            return self.cluster.submit(arr, ctx=ctx)
         return self.batcher.submit(arr, ctx=ctx)
 
     def refresh_metrics(self) -> None:

@@ -89,35 +89,6 @@ class TestSubmission:
         ), echo_pool.stats()
 
 
-class TestAffinity:
-    def test_same_key_lands_on_one_replica(self, echo_pool):
-        rng = np.random.default_rng(4)
-        before = {s["name"]: s["batches"] for s in echo_pool.stats()}
-        futs = [
-            echo_pool.submit(a, affinity="tenant-A")
-            for a in requests(rng, 6, 2)
-        ]
-        for f in futs:
-            f.result(timeout=60)
-        assert wait_for(
-            lambda: sum(s["batches"] for s in echo_pool.stats())
-            == sum(before.values()) + 6
-        )
-        after = {s["name"]: s["batches"] for s in echo_pool.stats()}
-        grew = [n for n in after if after[n] > before[n]]
-        assert len(grew) == 1  # all six requests on the ring owner
-
-    def test_affinity_matches_ring_assignment(self, echo_pool):
-        rid = echo_pool.ring.assign("tenant-B")
-        before = echo_pool.stats()[rid]["batches"]
-        echo_pool.submit(
-            np.zeros((1, *ECHO_SHAPE)), affinity="tenant-B"
-        ).result(timeout=30)
-        assert wait_for(
-            lambda: echo_pool.stats()[rid]["batches"] == before + 1
-        ), echo_pool.stats()
-
-
 class TestLifecycle:
     def test_shutdown_rejects_new_work(self, echo_pool):
         echo_pool.shutdown()
@@ -132,15 +103,6 @@ class TestLifecycle:
             assert row["router_state"] == "up"
             assert row["generation"] == 0
             assert row["queued_chunks"] == 0
-
-    def test_rolling_restart_bumps_generation(self, echo_pool):
-        arr = np.random.default_rng(5).normal(size=(3, *ECHO_SHAPE))
-        assert echo_pool.drain_replica(0, restart=True, timeout=60)
-        assert echo_pool.supervisor.handle(0).generation == 1
-        # Replica 0 serves again after its restart.
-        out = echo_pool.submit(arr, affinity=None).result(timeout=60)
-        assert np.array_equal(out, expected_echo(arr))
-        assert echo_pool.liveness()[0]["router_state"] == "up"
 
 
 class TestCrashRecovery:

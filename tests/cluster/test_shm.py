@@ -100,7 +100,9 @@ class TestShmStatsBlock:
     def test_schema_covers_protocol_fields(self):
         # The worker/router protocol writes these; renaming one silently
         # desynchronizes the two processes, so pin the schema.
-        for f in ("pid", "alive", "heartbeat", "requests", "images",
+        for f in ("pid", "alive", "heartbeat", "images",
                   "batches", "errors", "busy_seconds",
                   "sens_rows_total", "sens_rows_computed"):
             assert f in STATS_FIELDS
+        # One increment per chunk made it a copy of ``batches``.
+        assert "requests" not in STATS_FIELDS

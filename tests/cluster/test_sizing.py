@@ -1,18 +1,22 @@
-"""Sizing and mask-aware placement (pure-function tier)."""
+"""Replica sizing and chunk placement (no replica processes spawned).
+
+Placement is driven through ``ClusterPool._place`` on an unstarted pool
+whose replica queues the tests fill by hand.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cluster import ClusterClosed, ClusterPool
+from repro.cluster.router import _CensusProbe, _Chunk, _Submission
 from repro.cluster.sizing import (
     MAX_DEFAULT_REPLICAS,
-    PREDICT_COST,
-    autoscale_hint,
-    place_chunks,
-    predicted_chunk_cost,
     recommended_replicas,
     usable_cores,
 )
+from tests.cluster.conftest import ECHO_CLASSES, ECHO_SHAPE, echo_config
 
 
 class TestDefaults:
@@ -26,66 +30,76 @@ class TestDefaults:
         assert recommended_replicas(cores) == expected
 
 
-class TestAutoscaleHint:
-    def test_saturated_grows_within_cores(self):
-        assert autoscale_hint([0.9, 0.85], replicas=2, cores=4) == 3
-        assert autoscale_hint([0.9, 0.85], replicas=4, cores=4) == 4  # capped
-
-    def test_idle_shrinks_to_floor_of_one(self):
-        assert autoscale_hint([0.1, 0.05], replicas=2, cores=4) == 1
-        assert autoscale_hint([0.1], replicas=1, cores=4) == 1
-
-    def test_moderate_load_and_no_data_hold(self):
-        assert autoscale_hint([0.5, 0.6], replicas=2, cores=4) == 2
-        assert autoscale_hint([], replicas=3, cores=4) == 3
+def unstarted_pool(replicas: int) -> ClusterPool:
+    return ClusterPool(
+        echo_config(replicas=replicas),
+        input_shape=ECHO_SHAPE,
+        num_classes=ECHO_CLASSES,
+    )
 
 
-class TestPredictedCost:
-    def test_scales_with_images_and_density(self):
-        dense = predicted_chunk_cost(8, 1.0)
-        sparse = predicted_chunk_cost(8, 0.1)
-        assert dense == 8 * (PREDICT_COST + 1.0)
-        assert sparse < dense
-        assert predicted_chunk_cost(16, 0.5) == 2 * predicted_chunk_cost(8, 0.5)
+def chunk(images: int) -> _Chunk:
+    return _Chunk(
+        submission=_Submission(images, 1),
+        arr=np.zeros((images, *ECHO_SHAPE)),
+        offset=0,
+    )
 
-    def test_out_of_range_ratio_clamps_to_dense(self):
-        assert predicted_chunk_cost(4, -0.5) == predicted_chunk_cost(4, 1.0)
-        assert predicted_chunk_cost(4, 3.0) == predicted_chunk_cost(4, 1.0)
+
+def chunks(*sizes: int) -> list[_Chunk]:
+    return [chunk(n) for n in sizes]
+
+
+def fill(pool: ClusterPool, rid: int, queued=(), inflight=()) -> None:
+    st = pool._replicas[rid]
+    st.queue.extend(chunks(*queued))
+    for seq, n in enumerate(inflight):
+        st.inflight[seq] = (chunk(n), seq)
 
 
 class TestPlacement:
     def test_balances_equal_chunks_round_robin(self):
-        out = place_chunks([4, 4, 4, 4], [0.0, 0.0])
-        assert sorted(out) == [0, 0, 1, 1]
+        # Each chunk counts onto its target before the next is placed.
+        pool = unstarted_pool(2)
+        assert pool._place(chunks(4, 4, 4, 4)) == [0, 1, 0, 1]
 
     def test_prefers_less_loaded_replica(self):
-        # Replica 0 starts with outstanding work; all new chunks should
-        # land on replica 1 until the loads even out.
-        out = place_chunks([4], [100.0, 0.0])
-        assert out == [1]
+        pool = unstarted_pool(2)
+        fill(pool, 0, queued=[4, 4])
+        assert pool._place(chunks(4, 4, 4)) == [1, 1, 0]
 
-    def test_lpt_equalizes_predicted_work(self):
-        sizes = [8, 1, 1, 1, 1, 8, 2, 2]
-        out = place_chunks(sizes, [0.0, 0.0], sensitive_ratio=1.0)
-        loads = [0.0, 0.0]
-        for size, rep in zip(sizes, out):
-            loads[rep] += predicted_chunk_cost(size, 1.0)
-        assert abs(loads[0] - loads[1]) <= predicted_chunk_cost(2, 1.0)
+    def test_counts_queued_plus_inflight_images(self):
+        pool = unstarted_pool(3)
+        fill(pool, 0, queued=[4])          # 1 chunk, 4 images
+        fill(pool, 1, queued=[1, 1])       # 2 chunks, 2 images
+        fill(pool, 2, inflight=[3])        # nothing queued, 3 in flight
+        pool._replicas[1].queue.append(_CensusProbe())  # not an image
+        assert pool._place(chunks(4)) == [1]
 
     def test_deterministic(self):
-        sizes = [3, 7, 2, 9, 4, 4]
-        a = place_chunks(sizes, [0.0, 0.0, 0.0], 0.4)
-        b = place_chunks(sizes, [0.0, 0.0, 0.0], 0.4)
-        assert a == b
+        # Equal loads go to the lowest replica id.
+        pool = unstarted_pool(3)
+        assert pool._place(chunks(2)) == [0]
+        fill(pool, 0, queued=[2])
+        fill(pool, 1, queued=[1])
+        fill(pool, 2, inflight=[1])
+        assert pool._place(chunks(2)) == [1]
 
     def test_result_in_original_chunk_order(self):
-        sizes = [1, 9]
-        out = place_chunks(sizes, [0.0, 0.0])
-        assert len(out) == 2
-        # The big chunk (index 1) is placed first (LPT) but reported at
-        # its original position.
-        assert out[1] in (0, 1)
+        # Chunks are placed in submission order, not largest first.
+        pool = unstarted_pool(2)
+        assert pool._place(chunks(1, 4)) == [0, 1]
+
+    def test_skips_replicas_not_up(self):
+        pool = unstarted_pool(3)
+        fill(pool, 2, queued=[4, 4])
+        pool._replicas[0].state = "failed"
+        pool._replicas[1].state = "draining"
+        assert pool._place(chunks(1, 1)) == [2, 2]
 
     def test_no_replicas_raises(self):
-        with pytest.raises(ValueError):
-            place_chunks([1], [])
+        pool = unstarted_pool(2)
+        for st in pool._replicas.values():
+            st.state = "drained"
+        with pytest.raises(ClusterClosed):
+            pool._place(chunks(1))

@@ -15,21 +15,21 @@ def tracer() -> Tracer:
 
 class TestTraceContext:
     def test_parent_ref_is_lane_qualified(self):
-        ctx = TraceContext("abcd1234abcd1234", 7, "replica-3", key="s1")
+        ctx = TraceContext("abcd1234abcd1234", 7, "replica-3")
         assert ctx.parent_ref() == "replica-3:7"
 
     def test_wire_roundtrip(self):
-        ctx = TraceContext("abcd1234abcd1234", 7, "main", key="k")
+        ctx = TraceContext("abcd1234abcd1234", 7, "main")
+        assert ctx.to_wire() == ("abcd1234abcd1234", 7, "main")
         assert TraceContext.from_wire(ctx.to_wire()) == ctx
 
     def test_from_wire_none_passthrough(self):
         assert TraceContext.from_wire(None) is None
 
-    def test_rebased_keeps_trace_id_and_key(self):
-        ctx = TraceContext("abcd1234abcd1234", 7, "main", key="k")
+    def test_rebased_keeps_trace_id(self):
+        ctx = TraceContext("abcd1234abcd1234", 7, "main")
         hop = ctx.rebased(42, "replica-1")
         assert hop.trace_id == ctx.trace_id
-        assert hop.key == "k"
         assert hop.parent_ref() == "replica-1:42"
         # Original is frozen/unchanged.
         assert ctx.parent_ref() == "main:7"
@@ -124,11 +124,8 @@ class TestRequestContext:
 
     def test_mints_root_and_activates(self):
         with trace.get_tracer().collect():
-            with trace.request_context(
-                "serve.predict", key="k", batch=2
-            ) as (sp, ctx):
+            with trace.request_context("serve.predict", batch=2) as (sp, ctx):
                 assert ctx.span_id == sp.span_id
-                assert ctx.key == "k"
                 assert ctx.origin == trace.process_lane()
                 assert trace.current_context() is ctx
                 with trace.span("inner"):

@@ -69,6 +69,14 @@ class TestEndpoints:
         expected = server.session.engine.infer(x)
         np.testing.assert_allclose(np.asarray(resp["logits"]), expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("session", ["tenant-A", 7, None, {"id": 1}, [1, 2]])
+    def test_session_key_is_ignored(self, server, session):
+        body = {"input": server.session.sample_inputs[0].tolist(),
+                "return_logits": True}
+        plain = _post(server.url + "/predict", body)
+        keyed = _post(server.url + "/predict", {**body, "session": session})
+        assert keyed["logits"] == plain["logits"]
+
     def test_metrics_exposes_required_series(self, server):
         # ensure at least one request flowed
         _post(server.url + "/predict",
