@@ -50,8 +50,9 @@ def save_workloads(path: str | Path, workloads: list[LayerWorkload]) -> Path:
             arrays[f"channel_counts_{i}"] = np.asarray(
                 wl.per_channel_sensitive, dtype=np.int64
             )
-    arrays["meta"] = np.frombuffer(
-        json.dumps({"version": FORMAT_VERSION, "layers": meta}).encode(), dtype=np.uint8
+    # The JSON header is stored as one opaque byte record.
+    arrays["meta"] = np.void(
+        json.dumps({"version": FORMAT_VERSION, "layers": meta}).encode()
     )
     np.savez_compressed(path, **arrays)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")

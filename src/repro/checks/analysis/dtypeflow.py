@@ -4,8 +4,9 @@ The lattice mirrors the paper's exactness contract:
 
 * ``exact-int`` — exact integers in an int64-class container (quantize
   outputs, ``astype(int64)`` of a value that never lost exactness);
-* ``exact-float`` — exact integers carried in float64 (bit planes,
-  im2col columns, ``np.rint`` output) — the GEMM-operand domain;
+* ``exact-float`` — exact integers carried in a float (bit planes,
+  im2col columns, ``np.rint`` output) — the GEMM-operand domain, whose
+  dtype only :func:`repro.core.colcache.exact_gemm_dtype` may narrow;
 * ``tainted`` — a value that *was* exact and then lost it: narrowed
   below float64/int64, divided, or combined with a non-integral float;
 * ``unknown`` — everything else (ordinary float math is fine: ``pgemm``

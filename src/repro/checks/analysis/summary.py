@@ -40,7 +40,7 @@ from typing import Any, Iterator
 from repro.checks import astutil
 
 #: Bump to invalidate every cached summary when the extraction changes.
-SUMMARY_VERSION = 3
+SUMMARY_VERSION = 4
 
 #: Callee terminal names that spawn a thread/process with ``target=``.
 _SPAWN_FACTORIES = frozenset({"Thread", "Process"})
@@ -73,7 +73,8 @@ _VALUE_PRESERVING_FUNCS = frozenset({
 })
 
 #: Attribute reads that are bit-plane / packed-operand sources — the
-#: ColumnCache / PackedConvWeights API (exact integers in float64).
+#: ColumnCache / PackedConvWeights API (exact integers in the dtype
+#: exact_gemm_dtype picked).
 _SOURCE_ATTRS = frozenset({
     "cols_high", "cols_full", "wmat_full", "wmat_high",
 })
@@ -548,6 +549,18 @@ class _FunctionExtractor:
     def _eval_call(self, node: ast.Call) -> dict[str, Any]:
         dotted = astutil.dotted_name(node.func) or ""
         terminal = astutil.terminal_name(node.func) or ""
+        # A ``dtype=<narrow>`` keyword narrows its first argument the way
+        # ``astype`` narrows its receiver.
+        for kw in node.keywords:
+            dt = _dtype_of_astype_arg(kw.value) if kw.arg == "dtype" else None
+            if dt in NARROW_DTYPES:
+                base = self.eval_expr(node.args[0]) if node.args else UNKNOWN
+                if _basis_maybe_exact(base):
+                    return taint_basis(
+                        node.lineno, f"dtype={dt} narrows below the "
+                        "float64/int64 exactness contract", base,
+                    )
+                return UNKNOWN
         # astype: narrowing taints an exact value; widening to int64
         # establishes / keeps exactness; float64 keeps it.
         if (

@@ -68,7 +68,7 @@ def check_lock_order_inversion(ctx: FileContext) -> Iterator[Finding]:
         "A value minted exact (quantize/bit-split/rint/astype(int64)) "
         "that is narrowed, divided, or combined with a non-integral float "
         "anywhere along its flow must never reach pgemm/plan_gemm — the "
-        "float64 GEMM is exact only for exact-integer operands.  "
+        "float GEMM is exact only for exact-integer operands.  "
         "Supersedes the DTY103 name heuristic under --deep."
     ),
     deep=True,

@@ -1,12 +1,16 @@
 """dtype-exactness rules (``DTY``).
 
-Invariant (``src/repro/core/odq.py`` / ``colcache.py``): bit-plane GEMM
-operands carry *exact* integers in float64, and every partial product
-stays far below 2**53, so the float64 GEMM is exact regardless of
-summation order.  Every GEMM goes through **one entry point** —
+Invariant (``src/repro/core/colcache.py`` / ``odq.py``): GEMM operands
+carry *exact* integers, and every partial sum of a reduction of length
+``K`` is bounded by ``K * a_max * w_max``.  A float sum of integers is
+exact in any summation order while that bound fits the mantissa
+(``2**24`` for float32, ``2**53`` for float64), so the GEMM result
+cannot depend on how BLAS blocks the reduction.  One helper,
+:func:`repro.core.colcache.exact_gemm_dtype`, checks that bound at pack
+time and picks the operand dtype; narrowing anywhere else is unchecked
+(DTY102).  Every GEMM goes through **one entry point** —
 :func:`repro.core.gemm.pgemm` — the sink DTY110's dtype flow watches,
-which is why no GEMM may bypass it and why nothing may silently narrow
-a quantized array's dtype.
+which is why no GEMM may bypass it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.checks.astutil import call_name, terminal_name
+from repro.checks.astutil import call_name, enclosing_function, terminal_name
 from repro.checks.engine import FileContext
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import rule
@@ -42,11 +46,16 @@ def _is_bitplane_name(node: ast.AST) -> bool:
 
 
 def _narrow_dtype_arg(arg: ast.AST) -> str | None:
-    """The narrow dtype named by an ``astype`` argument, if any."""
+    """The narrow dtype an ``astype`` argument or ``dtype=`` value spells."""
     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
         return arg.value if arg.value in _NARROW_DTYPES else None
     name = terminal_name(arg)
     return name if name in _NARROW_DTYPES else None
+
+
+#: The one function allowed to name a narrow dtype: it checks the
+#: accumulator bound that makes the narrow GEMM exact.
+_BOUND_CHECKED_HELPER = "exact_gemm_dtype"
 
 
 @rule(
@@ -83,28 +92,43 @@ def check_unrouted_gemm(ctx: FileContext) -> Iterator[Finding]:
     id="DTY102",
     family="dtype",
     severity=Severity.ERROR,
-    summary="astype down-cast below the float64/int64 exactness contract",
+    summary="narrow dtype outside the bound-checked exact_gemm_dtype helper",
     invariant=(
-        "Quantized integer paths accumulate in float64/int64; casting to "
-        "float32/int32 or below silently loses the >2**24 / >2**31 "
-        "headroom the bit-exactness proofs rely on."
+        "A quantized integer GEMM is exact in float32 only while "
+        "K*a_max*w_max <= 2**24.  Only repro.core.colcache."
+        "exact_gemm_dtype checks that bound, so a float32/int32-or-below "
+        "dtype named anywhere else (an astype argument or a dtype= "
+        "keyword) narrows without the check."
     ),
 )
-def check_astype_downcast(ctx: FileContext) -> Iterator[Finding]:
+def check_narrow_dtype(ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+        if not isinstance(node, ast.Call):
+            continue
+        spelled = [
+            f"dtype={narrow}"
+            for kw in node.keywords
+            if kw.arg == "dtype"
+            and (narrow := _narrow_dtype_arg(kw.value)) is not None
+        ]
+        if (
+            isinstance(node.func, ast.Attribute)
             and node.func.attr == "astype"
             and node.args
+            and (narrow := _narrow_dtype_arg(node.args[0])) is not None
         ):
+            spelled.append(f"astype({narrow})")
+        if not spelled:
             continue
-        narrow = _narrow_dtype_arg(node.args[0])
-        if narrow is not None:
+        func = enclosing_function(node, ctx.parents)
+        if func is not None and func.name == _BOUND_CHECKED_HELPER:
+            continue
+        for what in spelled:
             yield ctx.finding(
                 "DTY102", node,
-                f"astype({narrow}) narrows below the float64/int64 "
-                "contract — keep the wide dtype or justify with a noqa",
+                f"{what} narrows below float64/int64 without the "
+                "accumulator-bound check — take the GEMM dtype from "
+                f"repro.core.colcache.{_BOUND_CHECKED_HELPER}",
             )
 
 
@@ -115,7 +139,7 @@ def check_astype_downcast(ctx: FileContext) -> Iterator[Finding]:
     summary="non-integral float arithmetic on a bit-plane array",
     invariant=(
         "Bit-plane arrays (q_high/cols_low/wmat_*/hh*) hold exact "
-        "integers in float64; multiplying or offsetting them by a "
+        "integers in a float dtype; multiplying or offsetting them by a "
         "non-integral float constant destroys exactness before the GEMM."
     ),
 )
@@ -152,6 +176,6 @@ def check_bitplane_float_arith(ctx: FileContext) -> Iterator[Finding]:
 
 __all__ = [
     "check_unrouted_gemm",
-    "check_astype_downcast",
+    "check_narrow_dtype",
     "check_bitplane_float_arith",
 ]

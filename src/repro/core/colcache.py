@@ -10,7 +10,7 @@ reshaped into GEMM operands once).
 
 One NHWC pass
 -------------
-The cache makes a single float64 pass over the input.  It evaluates
+The cache makes a single pass over the input.  It evaluates
 :func:`repro.quant.uniform.quantize`'s ops (``round(x / scale) + zp``,
 clipped) on an NHWC view of ``x``, without the int64 cast, and copies
 the result into the interior of a preallocated ``(N, H+2p, W+2p, C)``
@@ -34,16 +34,24 @@ bank rows in the same ``(kh, kw, c)`` order.  Rows stay ``n``-major in
 raster order over output pixels, so a ``(rows, C_out)`` GEMM result
 folds back with :meth:`ColumnCache.to_nchw`.
 
-Why float64 stays exact
------------------------
+Exact narrow operands
+---------------------
 Every buffer entry is an integer of a few bits, and every GEMM entry is
-a sum of ``C*K*K`` products of such integers, far below ``2**53``.  A
-float64 sum of integers below ``2**53`` is exact in any order, so
-reordering the reduction axis (or BLAS blocking it differently) cannot
-change a single bit of the result (same argument as
-:func:`repro.core.base.int_conv2d`).  Sparse and dense result
-generation, and this layout and the NCHW reference, therefore agree
-with ``==``.
+a sum of ``K = C*k*k`` products of such integers, so every partial sum
+of the reduction, in any order, is bounded by ``K * a_max * w_max``.
+A float sum of integers stays exact in any order while that bound fits
+the mantissa: ``2**24`` for float32, ``2**53`` for float64.
+:func:`exact_gemm_dtype` picks the narrowest dtype the bound allows, once,
+at pack time; :func:`pack_conv_weights` packs the filter bank in it and
+:class:`ColumnCache` builds its buffers in it.  INT4 ODQ (``15 * 7 * K``,
+at most ~4.8e5 for VGG-16's ``K = 4608``) runs float32; 8-bit ODQ
+(``255 * 127 * 576`` on resnet20) stays float64.  Reordering the
+reduction axis, or BLAS blocking it differently, therefore cannot change
+a single bit of the result (same argument as
+:func:`repro.core.base.int_conv2d`), and sparse and dense result
+generation, this layout and the NCHW reference agree with ``==``.  The
+quantize arithmetic, every reduction over a narrow buffer and the
+dequantizing epilogue stay float64.
 """
 
 from __future__ import annotations
@@ -57,11 +65,28 @@ from repro.quant.uniform import QParams
 from repro.utils.im2col import conv_output_size
 
 
-def _gemm_layout(t: np.ndarray) -> np.ndarray:
-    """``(C_out, C_in, K, K)`` -> float64 ``(K*K*C_in, C_out)``, rows in
-    ``(kh, kw, c)`` order (the :class:`ColumnCache` column order)."""
+#: float32 holds every integer of magnitude up to this exactly.
+FLOAT32_EXACT_INT = 2**24
+
+
+def exact_gemm_dtype(k: int, a_max: int | None, w_max: int) -> np.dtype:
+    """The narrowest float dtype in which an integer GEMM stays exact.
+
+    ``k`` is the reduction length and ``a_max`` / ``w_max`` bound the
+    operand magnitudes, so ``k * a_max * w_max`` bounds every partial
+    sum: float32 when that fits ``2**24``, float64 otherwise (and when
+    ``a_max`` is ``None``, an unbounded activation).
+    """
+    if a_max is not None and k * a_max * w_max <= FLOAT32_EXACT_INT:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
+def _gemm_layout(t: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``(C_out, C_in, K, K)`` -> ``(K*K*C_in, C_out)`` in ``dtype``, rows
+    in ``(kh, kw, c)`` order (the :class:`ColumnCache` column order)."""
     return np.ascontiguousarray(
-        t.transpose(2, 3, 1, 0).reshape(-1, t.shape[0]), dtype=np.float64
+        t.transpose(2, 3, 1, 0).reshape(-1, t.shape[0]), dtype=dtype
     )
 
 
@@ -78,10 +103,11 @@ def weights_from_gemm_layout(
 class PackedConvWeights:
     """Freeze-time GEMM operands of one quantized filter bank.
 
-    ``wmat_full`` and ``wmat_high`` are float64 ``(K*K*C_in, C_out)``
-    matrices of exact integers with rows in ``(kh, kw, c)`` order, ready
-    to be multiplied against :class:`ColumnCache` column matrices without
-    any per-call reshape/astype work.
+    ``wmat_full`` and ``wmat_high`` are ``(K*K*C_in, C_out)`` matrices
+    of exact integers in :attr:`dtype`, with rows in ``(kh, kw, c)``
+    order, ready to be multiplied against :class:`ColumnCache` column
+    matrices built in the same dtype without any per-call reshape/astype
+    work.
     """
 
     wmat_full: np.ndarray   #: full INT-q weights, GEMM layout
@@ -89,6 +115,8 @@ class PackedConvWeights:
     w_sum: np.ndarray       #: per-channel sum(qw), shape (1, C_out) float64
     low_bits: int
     c_out: int
+    dtype: np.dtype         #: GEMM operand dtype, from exact_gemm_dtype
+    a_max: int | None       #: activation magnitude the dtype was chosen for
 
     @property
     def high_shift(self) -> int:
@@ -97,16 +125,27 @@ class PackedConvWeights:
 
 
 def pack_conv_weights(
-    qw: np.ndarray, qp_w: QParams, low_bits: int
+    qw: np.ndarray, qp_w: QParams, low_bits: int, a_max: int | None = None
 ) -> PackedConvWeights:
-    """Pack quantized weights ``qw`` (C_out, C_in, K, K) for the GEMM paths."""
+    """Pack quantized weights ``qw`` (C_out, C_in, K, K) for the GEMM paths.
+
+    ``a_max`` bounds the activation integers the operands will meet (the
+    activation qmax); with ``K`` and ``max|qw|`` it picks the operand
+    dtype (:func:`exact_gemm_dtype`).  Without it the operands are
+    float64.
+    """
     c_out = qw.shape[0]
+    k = int(np.prod(qw.shape[1:]))
+    w_max = int(np.abs(qw).max()) if qw.size else 0
+    dtype = exact_gemm_dtype(k, a_max, w_max)
     return PackedConvWeights(
-        wmat_full=_gemm_layout(qw),
-        wmat_high=_gemm_layout(split_planes(qw, qp_w, low_bits).high),
+        wmat_full=_gemm_layout(qw, dtype),
+        wmat_high=_gemm_layout(split_planes(qw, qp_w, low_bits).high, dtype),
         w_sum=qw.sum(axis=(1, 2, 3)).reshape(1, -1).astype(np.float64),
         low_bits=low_bits,
         c_out=c_out,
+        dtype=dtype,
+        a_max=a_max,
     )
 
 
@@ -117,9 +156,14 @@ class ColumnCache:
     controls whether the expected low-plane activation value ``E[q_l]``
     is measured (on the *unpadded* quantized input).
 
+    ``dtype`` is the GEMM operand dtype of the paired
+    :class:`PackedConvWeights` and ``a_max`` the activation magnitude it
+    was chosen for; a ``qp_a`` whose integer range exceeds ``a_max``
+    raises ``ValueError``.
+
     Construction is the one NHWC pass of the module docstring: it fills
-    :attr:`q_pad`, the zero-point-padded ``(N, H+2p, W+2p, C)`` float64
-    buffer, and (when compensating) the high plane and ``e_low``.  The
+    :attr:`q_pad`, the zero-point-padded ``(N, H+2p, W+2p, C)`` buffer in
+    ``dtype``, and (when compensating) the high plane and ``e_low``.  The
     column matrices, all in ``(kh, kw, c)`` column order, materialise on
     first access:
 
@@ -141,7 +185,15 @@ class ColumnCache:
         padding: int,
         low_bits: int,
         compensate_low_bits: bool = True,
+        *,
+        dtype: np.dtype | type = np.float64,
+        a_max: int | None = None,
     ) -> None:
+        if a_max is not None and max(-qp_a.qmin, qp_a.qmax) > a_max:
+            raise ValueError(
+                f"activation range [{qp_a.qmin}, {qp_a.qmax}] exceeds the "
+                f"a_max={a_max} the GEMM dtype was chosen for"
+            )
         self.qp_a = qp_a
         self.kernel = kernel
         self.stride = stride
@@ -162,7 +214,7 @@ class ColumnCache:
         t += zp
         np.clip(t, qp_a.qmin, qp_a.qmax, out=t)
         p = padding
-        q_pad = np.empty((n, h + 2 * p, w + 2 * p, c))
+        q_pad = np.empty((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
         if p:
             q_pad[:, :p] = zp
             q_pad[:, -p:] = zp
@@ -175,9 +227,9 @@ class ColumnCache:
         self.e_low = 0.0
         if compensate_low_bits and t.size:
             # sum(q_l) = sum(q) - 2**n * sum(q_h) over the interior: sums
-            # of small integers, exact in float64.
+            # of small integers, exact when accumulated in float64.
             q_high = self.q_high_pad[:, p : p + h, p : p + w]
-            low_sum = t.sum() - q_high.sum() * float(1 << low_bits)
+            low_sum = t.sum() - q_high.sum(dtype=np.float64) * float(1 << low_bits)
             self.e_low = float(low_sum) / t.size
 
         self._cols: np.ndarray | None = None
@@ -207,14 +259,14 @@ class ColumnCache:
 
     @property
     def cols(self) -> np.ndarray:
-        """Dense float64 columns of the full quantized input."""
+        """Dense columns of the full quantized input."""
         if self._cols is None:
             self._cols = self._patches(self.q_pad).reshape(self.rows, -1)
         return self._cols
 
     @property
     def cols_high(self) -> np.ndarray:
-        """Dense float64 columns of the high (predictor) plane."""
+        """Dense columns of the high (predictor) plane."""
         if self._cols_high is None:
             self._cols_high = self._patches(self.q_high_pad).reshape(self.rows, -1)
         return self._cols_high
@@ -248,6 +300,8 @@ class ColumnCache:
 
 
 __all__ = [
+    "exact_gemm_dtype",
+    "FLOAT32_EXACT_INT",
     "PackedConvWeights",
     "pack_conv_weights",
     "weights_from_gemm_layout",

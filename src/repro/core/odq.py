@@ -39,9 +39,12 @@ between
     the predictor partial — bit-exact with the dense path (see
     :mod:`repro.core.colcache` for the exactness argument).  The
     hardware's executor clusters compute the same integers as the three
-    remaining Eq.-3 cross terms (:func:`repro.quant.bitsplit.cross_terms`);
-    a float64 GEMM gives no low-bit discount, so software uses the
-    1x-width full operand;
+    remaining Eq.-3 cross terms (:func:`repro.quant.bitsplit.cross_terms`).
+    Software multiplies the 1x-width full operand instead, in the
+    narrowest float dtype the INT4 accumulator bound keeps exact
+    (:func:`~repro.core.colcache.exact_gemm_dtype`, float32 for INT4):
+    a float GEMM has no narrower-than-float32 discount to give the
+    2-bit planes;
 ``auto``
     per layer-call dispatch on the sensitive-row density against
     :data:`SPARSE_ROW_CROSSOVER` (measured in
@@ -82,7 +85,8 @@ EXEC_PATHS = ("auto", "dense", "sparse")
 #: the gather's patch-copy and the scatter pull the measured crossover
 #: down — benchmarks/bench_odq_sparse.py measured a median of 0.83 over
 #: five runs on resnet20/cifar10 at default scale (0.78-0.92, 2-core
-#: host), so only masks with most rows sensitive go dense.
+#: host), and 0.825 (0.82-0.85) over five runs with the float32 INT4
+#: operands, so only masks with most rows sensitive go dense.
 SPARSE_ROW_CROSSOVER = 0.83
 
 #: A GEMM callable with :func:`~repro.core.gemm.pgemm`'s signature.
@@ -312,12 +316,13 @@ def odq_mixed_conv(
     if exec_path not in EXEC_PATHS:
         raise ValueError(f"unknown exec_path {exec_path!r}; expected one of {EXEC_PATHS}")
     qw = quantize(weight, qp_w)
-    packed = pack_conv_weights(qw, qp_w, low_bits)
+    packed = pack_conv_weights(qw, qp_w, low_bits, a_max=2**qp_a.bits - 1)
     kernel = weight.shape[2]
 
     def prep(inp: np.ndarray) -> ColumnCache:
         return ColumnCache(
-            inp, qp_a, kernel, stride, padding, low_bits, compensate_low_bits
+            inp, qp_a, kernel, stride, padding, low_bits, compensate_low_bits,
+            dtype=packed.dtype, a_max=packed.a_max,
         )
 
     r = odq_conv(
@@ -439,7 +444,9 @@ class ODQConvExecutor(ConvExecutor):
         if not self.dynamic_act:
             self.qp_a = self.observer.qparams(self.total_bits, signed=False)
         self._qw = quantize(w, self.qp_w)
-        self._packed = pack_conv_weights(self._qw, self.qp_w, self.low_bits)
+        self._packed = pack_conv_weights(
+            self._qw, self.qp_w, self.low_bits, a_max=2**self.total_bits - 1
+        )
         # Tensor-shaped twins kept for introspection and the mask dumps.
         self._qw_high = split_planes(self._qw, self.qp_w, self.low_bits).high
         self._w_sum = self._qw.sum(axis=(1, 2, 3)).reshape(1, -1, 1, 1)
@@ -472,6 +479,8 @@ class ODQConvExecutor(ConvExecutor):
             self.conv.padding,
             self.low_bits,
             self.compensate_low_bits if compensate is None else compensate,
+            dtype=self._packed.dtype,
+            a_max=self._packed.a_max,
         )
 
     def _bias2d(self) -> np.ndarray | None:

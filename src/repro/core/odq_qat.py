@@ -131,10 +131,13 @@ class ODQAwareConv2d(Conv2d):
         # columns (zero-point padded — which dequantizes to the real-0
         # padding an ordinary conv uses), so the dequantized column
         # matrix is one affine transform instead of a second im2col.
+        # The cache may hold narrow (float32) exact integers; the STE
+        # gradients are float64, so widen before dequantizing.
         w_deq = dequantize(quantize(self.weight.data, qp_w), qp_w)
         k, s, p = self.kernel_size, self.stride, self.padding
         cache = result["cache"]
-        cols = (cache.cols - qp_a.zero_point) * qp_a.scale
+        cols = np.subtract(cache.cols, qp_a.zero_point, dtype=np.float64)
+        cols *= qp_a.scale
         c_out = self.out_channels
         wmat = w_deq.reshape(c_out, -1).T
 

@@ -331,7 +331,9 @@ class PlannedConvStep(PlanStep):
         self.path_mode = ex.exec_path
         self.crossover = ex.sparse_crossover
         ckk, c_out = self.packed.wmat_full.shape
-        self.dispatch = gemm.plan_gemm(self.rows, ckk, c_out, np.float64)
+        self.dispatch = gemm.plan_gemm(
+            self.rows, ckk, c_out, self.packed.wmat_full.dtype
+        )
 
     def valid(self) -> bool:
         ex = self.ex

@@ -365,6 +365,27 @@ def run(x, w):
         assert "float32" in f.message
         assert "pgemm" in f.message
 
+    def test_narrow_dtype_keyword_reaching_gemm_fires(self):
+        src = GEMM_IMPORT + """
+def run(x, w):
+    q = quantize_tensor(x)
+    a = np.ascontiguousarray(q, dtype=np.float32)
+    return pgemm(a, w)
+"""
+        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        assert rules_of(findings) == ["DTY110"]
+        assert "dtype=float32" in findings[0].message
+        assert findings[0].line == 8
+
+    def test_wide_dtype_keyword_is_clean(self):
+        src = GEMM_IMPORT + """
+def run(x, w):
+    q = quantize_tensor(x)
+    a = np.ascontiguousarray(q, dtype=np.float64)
+    return pgemm(a, w)
+"""
+        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+
     def test_float64_preserving_helper_is_clean(self):
         src = GEMM_IMPORT + """
 def prep(x):

@@ -68,6 +68,52 @@ class TestDTY102AstypeDowncast:
         assert scan(src) == []
 
 
+class TestDTY102DtypeKeyword:
+    def test_dtype_keyword_gemm_operand_flagged(self):
+        src = """
+        import numpy as np
+        from repro.core.gemm import pgemm
+        a = np.ascontiguousarray(cols, dtype=np.float32)
+        buf = np.empty((4, 4), dtype='float32')
+        out = pgemm(a, w)
+        """
+        findings = scan(src)
+        assert rules_of(findings) == ["DTY102", "DTY102"]
+        assert "dtype=float32" in findings[0].message
+        assert "exact_gemm_dtype" in findings[0].message
+
+    def test_wide_dtype_keyword_clean(self):
+        src = """
+        import numpy as np
+        a = np.empty(3, dtype=np.float64)
+        s = q_high.sum(dtype=np.float64)
+        b = np.asarray(x, dtype='int64')
+        """
+        assert scan(src) == []
+
+    def test_bound_checked_helper_not_flagged(self):
+        src = """
+        import numpy as np
+
+        def exact_gemm_dtype(k, a_max, w_max):
+            return np.zeros(0, dtype=np.float32).astype(np.float32).dtype
+
+        def pack(qw):
+            return qw.astype(np.float32)
+        """
+        findings = scan(src)
+        assert rules_of(findings) == ["DTY102"]
+        assert findings[0].line == 8
+
+    def test_real_helper_module_clean(self):
+        from pathlib import Path
+
+        import repro.core.colcache as colcache
+
+        path = Path(colcache.__file__)
+        assert scan(path.read_text(encoding="utf-8"), path=str(path)) == []
+
+
 class TestDTY103BitplaneFloatArith:
     def test_fractional_constant_times_plane_flagged(self):
         findings = scan("out = q_high * 0.5\n")
