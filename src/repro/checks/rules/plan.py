@@ -4,8 +4,8 @@ Invariant (``src/repro/core/plan.py`` + ``pipeline.py``): the engine's
 compiled-plan state is owned by the engine and the plan tracer.  Outside
 code may read it, but writing the plan cache or shadowing a module's
 ``forward`` desynchronizes the plan bookkeeping or silently opts modules
-out of plan compilation, and an in-place write to an array a plan froze
-by identity leaves the plan serving stale values.
+out of plan compilation, and an in-place write to an array a plan or
+BatchNorm's eval kernel keys by identity leaves it serving stale values.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def check_instance_forward_shadowing(ctx: FileContext) -> Iterator[Finding]:
                 )
 
 
-#: Arrays a compiled plan step freezes by identity: parameter payloads
-#: (``weight.data``, ``bias.data``, ``gamma.data`` ...) and BatchNorm
-#: running statistics.
+#: Arrays cached by identity: parameter payloads (``weight.data``,
+#: ``bias.data``, ``gamma.data`` ...) and BatchNorm running statistics,
+#: which compiled plan steps freeze and BatchNorm2d.eval_kernel derives
+#: its constants from.
 _FROZEN_ARRAY_ATTRS = frozenset({"data", "running_mean", "running_var"})
 
 
@@ -141,11 +142,13 @@ def _frozen_array(node: ast.AST) -> str | None:
     severity=Severity.ERROR,
     summary="in-place write to a parameter or running-stat array",
     invariant=(
-        "Compiled plan steps precompute constants from parameter and "
+        "Two consumers precompute constants from parameter and "
         "BatchNorm running-stat arrays and re-validate them by object "
-        "identity only (InferencePlan.valid); an in-place write keeps "
-        "the identity, so the plan serves stale constants.  Rebind "
-        "instead (p.data = p.data - lr * g), as the optimizers do."
+        "identity only: compiled plan steps (InferencePlan.valid) and "
+        "BatchNorm2d's eval-constant cache (BatchNorm2d.eval_kernel).  "
+        "An in-place write keeps the identity, so both serve stale "
+        "constants.  Rebind instead (p.data = p.data - lr * g), as the "
+        "optimizers do."
     ),
 )
 def check_inplace_frozen_array_write(ctx: FileContext) -> Iterator[Finding]:
@@ -161,9 +164,10 @@ def check_inplace_frozen_array_write(ctx: FileContext) -> Iterator[Finding]:
             if attr is not None:
                 yield ctx.finding(
                     "PLN504", node,
-                    f"in-place write to `.{attr}` — compiled plans check "
-                    "these arrays by identity and would keep serving the "
-                    "old values; assign a new array instead",
+                    f"in-place write to `.{attr}` — compiled plans and "
+                    "BatchNorm2d's eval-constant cache check these arrays "
+                    "by identity and would keep serving the old values; "
+                    "assign a new array instead",
                 )
 
 

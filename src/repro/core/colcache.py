@@ -189,9 +189,10 @@ class ColumnCache:
         dtype: np.dtype | type = np.float64,
         a_max: int | None = None,
     ) -> None:
-        if a_max is not None and max(-qp_a.qmin, qp_a.qmax) > a_max:
+        qmin, qmax = qp_a.qmin, qp_a.qmax
+        if a_max is not None and max(-qmin, qmax) > a_max:
             raise ValueError(
-                f"activation range [{qp_a.qmin}, {qp_a.qmax}] exceeds the "
+                f"activation range [{qmin}, {qmax}] exceeds the "
                 f"a_max={a_max} the GEMM dtype was chosen for"
             )
         self.qp_a = qp_a
@@ -212,14 +213,9 @@ class ColumnCache:
         t = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1) / qp_a.scale
         np.round(t, out=t)
         t += zp
-        np.clip(t, qp_a.qmin, qp_a.qmax, out=t)
+        np.clip(t, qmin, qmax, out=t)
         p = padding
-        q_pad = np.empty((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
-        if p:
-            q_pad[:, :p] = zp
-            q_pad[:, -p:] = zp
-            q_pad[:, p:-p, :p] = zp
-            q_pad[:, p:-p, -p:] = zp
+        q_pad = np.full((n, h + 2 * p, w + 2 * p, c), zp, dtype=dtype)
         q_pad[:, p : p + h, p : p + w] = t
         self.q_pad = q_pad
 
@@ -245,15 +241,20 @@ class ColumnCache:
         return self._q_high_pad
 
     def _patches(self, buf: np.ndarray) -> np.ndarray:
-        """``(N, OH, OW, K, K, C)`` read-only strided view of ``buf``."""
+        """``(N, OH, OW, K, K, C)`` read-only strided view of ``buf``.
+
+        Built with the ``ndarray`` constructor over ``buf``'s memory
+        (``buf`` is a C-contiguous buffer this cache allocated), which
+        skips ``as_strided``'s Python-level array-interface round trip.
+        """
         sn, sh, sw, sc = buf.strides
         k, s = self.kernel, self.stride
-        return np.lib.stride_tricks.as_strided(
-            buf,
-            shape=(self.n, self.oh, self.ow, k, k, buf.shape[3]),
+        view = np.ndarray(
+            (self.n, self.oh, self.ow, k, k, buf.shape[3]), buf.dtype, buf,
             strides=(sn, sh * s, sw * s, sh, sw, sc),
-            writeable=False,
         )
+        view.flags.writeable = False
+        return view
 
     # -- dense column matrices (lazy) ---------------------------------------
 

@@ -41,7 +41,7 @@ class SensitivityMask:
 
     @property
     def sensitive_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return int(self._channel_counts.sum())
 
     @property
     def sensitive_fraction(self) -> float:
@@ -60,15 +60,22 @@ class SensitivityMask:
         only C or H*W elements long, which is several times slower.
         """
         m = self.mask
-        return np.ascontiguousarray(np.moveaxis(m, 1, 0)).reshape(m.shape[1], -1)
+        return np.ascontiguousarray(m.transpose(1, 0, 2, 3)).reshape(m.shape[1], -1)
+
+    @cached_property
+    def _channel_counts(self) -> np.ndarray:
+        counts = self.by_channel.sum(axis=1, dtype=np.int64)
+        counts.flags.writeable = False  # shared by every caller
+        return counts
 
     def per_channel_counts(self) -> np.ndarray:
         """Sensitive-output count per output channel, summed over the batch.
 
         This is the per-OFM workload vector consumed by the accelerator's
-        workload scheduler (Figs 14-16).
+        workload scheduler (Figs 14-16).  Computed once per mask and
+        returned read-only.
         """
-        return self.by_channel.sum(axis=1).astype(np.int64)
+        return self._channel_counts
 
     def sensitive_positions(self) -> np.ndarray:
         """Per output position (``n, h, w`` order): is any channel sensitive?"""

@@ -120,13 +120,19 @@ def odq_weight_qparams(
 
 def _partial_2d(cache: ColumnCache, packed: PackedConvWeights, scale: float,
                 bias2d: np.ndarray | None, mm: GemmFn) -> np.ndarray:
-    """Dequantized predictor partial (plus bias) in (rows, C_out) layout."""
+    """Dequantized predictor partial (plus bias) in (rows, C_out) layout.
+
+    ``scale * (hh * 2**shift + (e_low - zp) * w_sum) + bias``, evaluated
+    in place in the one float64 result: the shift is exact in either
+    dtype and each later step rounds as the out-of-place expression does.
+    """
     hh2d = mm(cache.cols_high, packed.wmat_high)
-    partial2d = scale * (
-        hh2d * float(1 << packed.high_shift)
-        + (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
-    )
-    return partial2d if bias2d is None else partial2d + bias2d
+    partial2d = np.multiply(hh2d, float(1 << packed.high_shift), dtype=np.float64)
+    partial2d += (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
+    partial2d *= scale
+    if bias2d is not None:
+        partial2d += bias2d
+    return partial2d
 
 
 def _full_2d(cache: ColumnCache, cols: np.ndarray, packed: PackedConvWeights,
@@ -138,8 +144,12 @@ def _full_2d(cache: ColumnCache, cols: np.ndarray, packed: PackedConvWeights,
     restricted to those rows and bit-exact by construction.
     """
     acc = mm(cols, packed.wmat_full)
-    full2d = scale * (acc - cache.qp_a.zero_point * packed.w_sum)
-    return full2d if bias2d is None else full2d + bias2d
+    full2d = np.subtract(acc, cache.qp_a.zero_point * packed.w_sum,
+                         dtype=np.float64)
+    full2d *= scale
+    if bias2d is not None:
+        full2d += bias2d
+    return full2d
 
 
 class ConvResult(NamedTuple):
@@ -212,8 +222,8 @@ def odq_conv(
             mask = mask_from_magnitude(partial, threshold)
             # Row = one spatial output position; a row is computed by
             # the sparse path when *any* of its channels is sensitive.
-            any_rows = mask.sensitive_positions()
-            n_sense_rows = int(np.count_nonzero(any_rows))
+            sel = np.flatnonzero(mask.sensitive_positions())
+            n_sense_rows = sel.size
 
         path = exec_path
         if path == "auto":
@@ -229,17 +239,13 @@ def odq_conv(
             else:
                 full = None
                 out2d = partial2d.copy() if keep_partial else partial2d
-                sel = np.flatnonzero(any_rows)
-                if sel.size:
+                if n_sense_rows:
                     full_rows = _full_2d(
                         cache, cache.full_rows(sel), packed, scale, bias2d, mm_rows
                     )
-                    # Gather only the selected rows of the mask
-                    # ((R, C_out)) instead of transposing the whole
-                    # NCHW mask into row-major layout.
-                    ni, rem = np.divmod(sel, cache.oh * cache.ow)
-                    oi, oj = np.divmod(rem, cache.ow)
-                    mask_rows = mask.mask[ni, :, oi, oj]
+                    # The mask's selected rows, (R, C_out): by_channel's
+                    # positions are in row order.
+                    mask_rows = mask.by_channel[:, sel].T
                     out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
                 out = cache.to_nchw(out2d)
                 rows_computed = n_sense_rows

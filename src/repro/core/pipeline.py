@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.base import ConvExecutor, LayerRecord
 from repro.core.schemes import Scheme
 from repro.nn.layers import Conv2d, Module, swap_modules
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.trainer import iterate_minibatches
 from repro.obs import trace
 from repro.obs.log import get_logger
@@ -70,6 +70,10 @@ class QuantizedInferenceEngine:
     matching the paper's focus ("our focus is on inference time, with a
     particular emphasis on the convolutional layers"); BN, pooling and the
     classifier head run in floating point.
+
+    Every entry point (:meth:`calibrate`, :meth:`infer`, :meth:`forward`
+    / :meth:`evaluate`) runs the model under
+    :func:`~repro.nn.tensor.no_grad`: inference records no autograd tape.
 
     Reuse & threading
     -----------------
@@ -214,8 +218,9 @@ class QuantizedInferenceEngine:
         ):
             self.mode = "calibrate"
             self.model.eval()
-            for start in range(0, len(x), batch_size):
-                self.model(Tensor(x[start : start + batch_size]))
+            with no_grad():
+                for start in range(0, len(x), batch_size):
+                    self.model(Tensor(x[start : start + batch_size]))
             for executor in self.executors.values():
                 executor.freeze()
             # Re-freezing replaces packed operands and qparams; compiled
@@ -248,12 +253,13 @@ class QuantizedInferenceEngine:
             if self.mode != "run":
                 raise RuntimeError("engine not calibrated; call calibrate() first")
             self.model.eval()
-            if trace.enabled():
-                with trace.span(
-                    "engine.infer", batch=int(x.shape[0]), scheme=self.scheme.name
-                ):
-                    return self._infer_locked(x)
-            return self._infer_locked(x)
+            with no_grad():
+                if trace.enabled():
+                    with trace.span(
+                        "engine.infer", batch=int(x.shape[0]), scheme=self.scheme.name
+                    ):
+                        return self._infer_locked(x)
+                return self._infer_locked(x)
 
     def _infer_locked(self, x: np.ndarray) -> np.ndarray:
         """Planned dispatch for one batch; falls back to the legacy path.
@@ -300,7 +306,8 @@ class QuantizedInferenceEngine:
             if self.mode != "run":
                 raise RuntimeError("engine not calibrated; call calibrate() first")
             self.model.eval()
-            return self.model(Tensor(x)).data
+            with no_grad():
+                return self.model(Tensor(x)).data
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 128) -> float:
         """Top-1 accuracy under the quantization scheme."""

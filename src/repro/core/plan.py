@@ -30,15 +30,15 @@ Two plan modes:
 ``graph``
     The model's forward has structure a flat tape cannot honor
     (residual adds, concats, repeated modules).  The model walks its own
-    Tensor graph as before, but every instrumented conv routes through
-    its plan step.
+    Tensor graph under :func:`~repro.nn.tensor.no_grad` (no tape), and
+    every instrumented conv routes through its plan step.
 
 Bit-exactness contract
 ----------------------
 Every flat step mirrors the exact numpy expression tree of the Tensor op
 it replaces (e.g. ReLU is ``x * (x > 0)``, not ``np.maximum``; global
-average pooling is ``sum * (1.0 / count)``, not ``np.mean``; BatchNorm's
-subtraction is ``x + (-mean)``), or, for max pooling, selects the same
+average pooling is ``sum * (1.0 / count)``, not ``np.mean``; BatchNorm
+is the module's own eval kernel), or, for max pooling, selects the same
 element the Tensor op's argmax gathers.  So planned output is
 bit-identical (``==``) to the unplanned path — pinned by
 ``tests/core/test_plan.py``.
@@ -50,9 +50,10 @@ identity, every piece of state a step froze (packed operands, weight and
 buffer arrays, exec-path config, instance-level ``run`` monkeypatches);
 the engine recompiles on mismatch.  Deliberately *not* frozen: the mask
 threshold (``effective_threshold`` is read per call so threshold sweeps
-hit the planned path unchanged) and the ``ColumnCache`` (built per call
+hit the planned path unchanged), the ``ColumnCache`` (built per call
 by ``executor._build_cache``, the one place a layer call's cache is
-made, on the planned and unplanned paths alike).
+made, on the planned and unplanned paths alike) and BatchNorm's
+constants (its eval kernel re-checks their sources itself).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from repro.nn.layers import (
     MaxPool2d,
     ReLU,
 )
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class PlanStep:
@@ -257,42 +258,20 @@ class LinearStep(PlanStep):
 
 
 class BatchNormStep(PlanStep):
-    """Eval-mode BatchNorm2d with the per-channel constants pre-reshaped.
-
-    Mirrors the Tensor expression tree exactly: subtraction is
-    ``x + (-mean)`` and the scale is ``(var + eps) ** -0.5``.
-    """
+    """Eval-mode BatchNorm2d: the module's own
+    :meth:`~repro.nn.layers.BatchNorm2d.eval_kernel`, which keeps its
+    constants fresh by identity."""
 
     kind = "batchnorm"
 
     def __init__(self, module: BatchNorm2d) -> None:
         self.module = module
-        self._rm_src = module.running_mean
-        self._rv_src = module.running_var
-        self._g_src = module.gamma.data
-        self._b_src = module.beta.data
-        self._eps = module.eps
-        self.neg_mean4 = -(module.running_mean.reshape(1, -1, 1, 1))
-        self.inv_std4 = (
-            module.running_var.reshape(1, -1, 1, 1) + module.eps
-        ) ** -0.5
-        self.gamma4 = module.gamma.data.reshape(1, -1, 1, 1)
-        self.beta4 = module.beta.data.reshape(1, -1, 1, 1)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        xhat = (x + self.neg_mean4) * self.inv_std4
-        return xhat * self.gamma4 + self.beta4
+        return self.module.eval_kernel(x)
 
     def valid(self) -> bool:
-        m = self.module
-        return (
-            not m.training
-            and m.running_mean is self._rm_src
-            and m.running_var is self._rv_src
-            and m.gamma.data is self._g_src
-            and m.beta.data is self._b_src
-            and m.eps == self._eps
-        )
+        return not self.module.training
 
 
 class PlannedConvStep(PlanStep):
@@ -414,7 +393,8 @@ class InferencePlan:
         engine = self.engine
         engine._active_plan = self
         try:
-            return engine.model(Tensor(x)).data
+            with no_grad():
+                return engine.model(Tensor(x)).data
         finally:
             engine._active_plan = None
 
@@ -457,7 +437,7 @@ def _trace_leaves(engine, x: np.ndarray):
     """Run one inference with leaf forwards instrumented.
 
     Returns ``(tape, output Tensor)``.  The traced call *is* a full
-    unplanned inference (records, spans, autograd all unchanged), so its
+    unplanned, tape-free inference (records and spans unchanged), so its
     output doubles as the result of the batch that triggered the compile.
     """
     from repro.core.pipeline import InstrumentedConv
@@ -484,7 +464,8 @@ def _trace_leaves(engine, x: np.ndarray):
 
     xt = Tensor(x)
     try:
-        out_t = engine.model(xt)
+        with no_grad():
+            out_t = engine.model(xt)
     finally:
         for m in wrapped:
             m.__dict__.pop("forward", None)

@@ -1,6 +1,6 @@
 """NumPy autograd CNN substrate (the reproduction's PyTorch replacement)."""
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 from repro.nn.layers import (
     Module,
     Identity,
@@ -22,6 +22,8 @@ from repro.nn import functional
 
 __all__ = [
     "Tensor",
+    "no_grad",
+    "is_grad_enabled",
     "Module",
     "Identity",
     "ReLU",

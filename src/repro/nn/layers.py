@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.utils.rng import new_rng
 
 
@@ -72,8 +72,11 @@ class Module:
     # -- train / eval ----------------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
-        for _, m in self.named_modules():
-            m.training = mode
+        # Walks children() rather than named_modules(): the engine calls
+        # eval() on every inference, and the names are not needed here.
+        self.training = mode
+        for child in self.children():
+            child.train(mode)
         return self
 
     def eval(self) -> "Module":
@@ -226,6 +229,9 @@ class BatchNorm2d(Module):
     ``eval()`` inference is deterministic — a requirement for the
     quantized-inference pipelines, which fold BN into per-channel affine
     transforms at calibration time.
+
+    Eval mode under :func:`~repro.nn.tensor.no_grad` runs
+    :meth:`eval_kernel` on raw arrays instead of taping ~10 Tensor ops.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -237,8 +243,50 @@ class BatchNorm2d(Module):
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
+        #: ``(sources, constants)`` of :meth:`eval_kernel` (a tuple, so
+        #: ``state_dict`` does not take the constants for buffers).
+        self._eval_consts: tuple | None = None
+
+    def eval_kernel(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward of ``x`` on raw arrays.
+
+        ``((x + neg_mean4) * inv_std4) * gamma4 + beta4`` is the taped
+        forward's expression tree, so the result is ``==`` to it.  The
+        per-channel constants are computed once and recomputed whenever
+        ``running_mean``, ``running_var``, ``gamma.data``, ``beta.data``
+        or ``eps`` is no longer the same object, so rebinding any of
+        them is seen; an in-place write to one of those arrays is not
+        (rule PLN504 forbids it).
+        """
+        sources = (self.running_mean, self.running_var, self.gamma.data,
+                   self.beta.data, self.eps)
+        cached = self._eval_consts
+        if cached is None or any(a is not b for a, b in zip(cached[0], sources)):
+            # The taped eval forward's own ops, so the constants match it.
+            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
+            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
+            cached = (sources, (
+                (-mean).data,
+                ((var + self.eps) ** -0.5).data,
+                self.gamma.data.reshape(1, -1, 1, 1),
+                self.beta.data.reshape(1, -1, 1, 1),
+            ))
+            self._eval_consts = cached
+        neg_mean4, inv_std4, gamma4, beta4 = cached[1]
+        out = x + neg_mean4
+        if out.dtype != np.float64:
+            # float32 constants: keep every out-of-place promotion.
+            return (out * inv_std4) * gamma4 + beta4
+        # In place on the float64 temporary: the same ops in the same
+        # order, each rounding to float64 as the out-of-place one does.
+        out *= inv_std4
+        out *= gamma4
+        out += beta4
+        return out
 
     def forward(self, x: Tensor) -> Tensor:
+        if not self.training and not is_grad_enabled():
+            return Tensor(self.eval_kernel(x.data))
         if self.training:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)

@@ -19,11 +19,38 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 Array = np.ndarray
+
+#: Per-thread grad mode: each serving worker thread sets its own.
+_grad_mode = threading.local()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops on this thread record the autograd tape."""
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the block without recording the tape (on this thread only).
+
+    Inside, every op returns an untaped :class:`Tensor`
+    (``requires_grad=False``, no parents, no backward closure), so
+    inference pays for the arithmetic alone.  Nesting and exceptions
+    restore the previous mode.
+    """
+    prev = is_grad_enabled()
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
 
 
 def _pgemm(a: Array, b: Array) -> Array:
@@ -100,7 +127,12 @@ class Tensor:
         backward: Callable[[Array], None],
         op: str = "",
     ) -> "Tensor":
-        """Create a tensor produced by an op, wiring the tape if needed."""
+        """Create a tensor produced by an op, wiring the tape if needed.
+
+        Under :func:`no_grad` the result is never taped.
+        """
+        if not is_grad_enabled():
+            return cls(data)
         parents = tuple(parents)
         out = cls(data, requires_grad=any(p.requires_grad for p in parents))
         if out.requires_grad:
@@ -415,4 +447,4 @@ class Tensor:
         return Tensor.from_op(np.pad(self.data, pad_width), (self,), backward, "pad_channels")
 
 
-__all__ = ["Tensor"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]

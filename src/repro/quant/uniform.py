@@ -78,8 +78,7 @@ def affine_qparams(lo: float, hi: float, bits: int) -> QParams:
         hi = lo + 1e-8
     levels = int_range(bits, signed=False)[1]
     scale = (hi - lo) / levels
-    zero_point = int(round(-lo / scale))
-    zero_point = int(np.clip(zero_point, 0, levels))
+    zero_point = min(max(int(round(-lo / scale)), 0), levels)
     return QParams(scale=scale, zero_point=zero_point, bits=bits, signed=False)
 
 

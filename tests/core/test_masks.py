@@ -60,3 +60,42 @@ class TestMaskFromMagnitude:
         vals = np.random.default_rng(0).normal(size=(1, 2, 3, 3)) * 100
         m = mask_from_magnitude(vals, np.inf)
         assert m.sensitive_count == 0
+
+
+@st.composite
+def _masks(draw):
+    """Random boolean masks, NCHW-contiguous or an NCHW view of NHWC
+    memory (the layout ``odq_conv``'s masks have)."""
+    n, c, h, w = (draw(st.integers(1, 4)) for _ in range(4))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        return rng.random((n, c, h, w)) < density
+    return (rng.random((n, h, w, c)) < density).transpose(0, 3, 1, 2)
+
+
+class TestCachedCounts:
+    @given(_masks())
+    def test_counts_match_the_mask(self, mask):
+        m = SensitivityMask(mask, 0.0)
+        assert m.sensitive_count == np.count_nonzero(mask)
+        np.testing.assert_array_equal(m.per_channel_counts(), mask.sum((0, 2, 3)))
+        assert m.per_channel_counts().dtype == np.int64
+
+    @given(_masks())
+    def test_row_gather_matches_nchw_index(self, mask):
+        """``by_channel[:, sel].T`` is the sparse scatter's mask gather."""
+        m = SensitivityMask(mask, 0.0)
+        n, _, h, w = mask.shape
+        sel = np.flatnonzero(m.sensitive_positions())
+        ni, rem = np.divmod(sel, h * w)
+        oi, oj = np.divmod(rem, w)
+        np.testing.assert_array_equal(m.by_channel[:, sel].T, mask[ni, :, oi, oj])
+        assert sel.size == np.count_nonzero(mask.any(axis=1))
+
+    def test_counts_are_shared_read_only(self):
+        m = SensitivityMask(np.ones((1, 2, 2, 2), dtype=bool), 0.0)
+        counts = m.per_channel_counts()
+        assert counts is m.per_channel_counts()
+        with pytest.raises(ValueError):
+            counts[0] = 0
