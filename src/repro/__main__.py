@@ -22,12 +22,7 @@ Commands
     the source tree; see ``docs/static-analysis.md``.
 ``bench-serve``
     Closed-loop throughput comparison: naive rebuild-per-request vs
-    cached session vs cached session + micro-batching; with
-    ``--replicas N --trace --trace-out`` the trace file is the merged
-    multi-process timeline from the telemetry collector.
-``trace-tail``
-    Follow a serving telemetry spool (``serve --telemetry-spool``) —
-    spans and log records from every replica, one line each, live.
+    cached session vs cached session + micro-batching.
 
 Global observability flags (valid before or after the command name):
 ``--trace`` (enable the span tracer), ``--trace-out PATH`` (write the
@@ -192,26 +187,10 @@ def _serve_config_from_args(args) -> "ServeConfig":  # noqa: F821 — lazy impor
         use_plan=not args.no_plan,
         max_batch_size=args.max_batch_size,
         workers=args.workers,
-        replicas=_resolve_replicas(args.replicas),
         host=args.host,
         port=args.port,
         drift_band=args.drift_band,
-        telemetry_spool=args.telemetry_spool,
     )
-
-
-def _resolve_replicas(raw: str) -> int:
-    """``--replicas N | auto`` → replica count (auto = one per usable core)."""
-    if raw == "auto":
-        from repro.cluster.sizing import recommended_replicas
-
-        return recommended_replicas()
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"--replicas must be an integer or 'auto', got {raw!r}"
-        ) from None
 
 
 def _add_serve_options(parser: argparse.ArgumentParser) -> None:
@@ -232,11 +211,8 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-batch-size", type=int, default=8,
                         help="micro-batch coalescing cap (images)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="engine worker threads (ignored when --replicas > 1)")
-    parser.add_argument("--replicas", default="1", metavar="N|auto",
-                        help="engine replica processes (repro.cluster); 1 = "
-                             "in-process thread pool, 'auto' = one per usable "
-                             "core (sched_getaffinity, capped at 8)")
+                        help="engine worker threads (keep at or below the "
+                             "usable cores)")
     parser.add_argument("--no-plan", action="store_true",
                         help="disable compiled inference plans "
                              "(repro.core.plan); run the legacy per-call "
@@ -248,9 +224,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                         help="sensitivity-drift alert band: warn when a "
                              "layer's EWMA sensitive-ratio departs its "
                              "calibration baseline by more than this")
-    parser.add_argument("--telemetry-spool", default=None, metavar="PATH",
-                        help="append every replica telemetry record to this "
-                             "JSONL file (follow it with `repro trace-tail`)")
 
 
 def _cmd_serve(args) -> int:
@@ -284,11 +257,6 @@ def _cmd_bench_serve(args) -> int:
         requests=args.requests,
         naive_requests=args.naive_requests,
     )
-    # A traced replicated run carries the telemetry collector; let the
-    # --trace-out epilogue export the merged multi-process timeline
-    # instead of just this process's spans.
-    if result.collector is not None:
-        args._collector = result.collector
     console(result.render())
     speedup = result.speedup("batched")
     console(f"\ncached+batched vs naive: {speedup:.1f}x")
@@ -299,63 +267,7 @@ def _cmd_bench_serve(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(result.render() + "\n")
         console(f"[written to {path}]")
-    if result.bitexact and not result.bitexact["identical"]:
-        console("FAIL: replicated path is not bit-exact vs a single engine")
-        return 1
     return 0
-
-
-def _format_tail_line(line: str) -> str:
-    """One telemetry-spool JSONL record → an aligned human-readable line."""
-    import json
-
-    try:
-        rec = json.loads(line)
-    except ValueError:
-        return line
-    proc = str(rec.get("proc", "?"))
-    if rec.get("kind") == "log":
-        level = str(rec.get("level", "info")).upper()
-        return (f"{proc:<12} log   {level:<8} "
-                f"{rec.get('logger', '-')} {rec.get('event', '')}")
-    attrs = rec.get("attrs") or {}
-    dur_ms = float(rec.get("duration_us", 0.0)) / 1000.0
-    return (f"{proc:<12} span  {str(rec.get('name', '?')):<24} "
-            f"{dur_ms:>9.3f} ms  trace={attrs.get('trace_id', '-')}")
-
-
-def _cmd_trace_tail(args) -> int:
-    import time
-    from pathlib import Path
-
-    path = Path(args.spool)
-    if not args.follow and not path.exists():
-        console(f"trace-tail: no spool at {path}", err=True)
-        return 1
-    pos = 0
-    if args.follow and not args.from_start and path.exists():
-        pos = path.stat().st_size  # tail from the end, like `tail -f`
-    deadline = (
-        None if args.duration is None else time.monotonic() + args.duration
-    )
-    try:
-        while True:
-            if path.exists():
-                with path.open("rb") as fh:
-                    fh.seek(pos)
-                    for raw in fh:
-                        if not raw.endswith(b"\n"):
-                            break  # mid-write partial line; retry next poll
-                        pos += len(raw)
-                        line = raw.decode("utf-8", "replace").rstrip("\n")
-                        console(line if args.raw else _format_tail_line(line))
-            if not args.follow:
-                return 0
-            if deadline is not None and time.monotonic() >= deadline:
-                return 0
-            time.sleep(args.poll)
-    except KeyboardInterrupt:
-        return 0
 
 
 def _global_options() -> argparse.ArgumentParser:
@@ -474,26 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None,
                          help="also write the table to this file")
 
-    p_tail = sub.add_parser(
-        "trace-tail",
-        help="follow a serving telemetry spool (spans + logs, live)",
-        parents=[global_opts],
-    )
-    p_tail.add_argument("spool",
-                        help="telemetry spool path (serve --telemetry-spool)")
-    p_tail.add_argument("--follow", action="store_true",
-                        help="keep tailing for new records (Ctrl-C stops); "
-                             "default prints the spool once and exits")
-    p_tail.add_argument("--from-start", action="store_true",
-                        help="with --follow, replay existing records before "
-                             "tailing (default starts at the end)")
-    p_tail.add_argument("--poll", type=float, default=0.5,
-                        help="poll interval in seconds when following")
-    p_tail.add_argument("--duration", type=float, default=None,
-                        help="stop following after this many seconds")
-    p_tail.add_argument("--raw", action="store_true",
-                        help="print raw JSONL records instead of formatting")
-
     from repro.checks.cli import add_check_arguments
 
     p_check = sub.add_parser(
@@ -516,7 +408,6 @@ HANDLERS = {
     "serve": _cmd_serve,
     "bench-serve": _cmd_bench_serve,
     "check": _cmd_check,
-    "trace-tail": _cmd_trace_tail,
 }
 
 
@@ -537,18 +428,6 @@ def _write_trace(args) -> None:
         return
     from repro.obs import exporters
 
-    collector = getattr(args, "_collector", None)
-    if collector is not None:
-        if getattr(args, "trace_format", "chrome") == "jsonl":
-            path = collector.write_jsonl(trace_out)
-        else:
-            path = collector.write_chrome_trace(trace_out)
-        console(
-            f"[trace: {len(collector.merged())} merged spans across "
-            f"{len(collector.lanes())} lanes written to {path}]",
-            err=True,
-        )
-        return
     spans = getattr(args, "_profile_spans", None)
     if spans is None:
         spans = trace.spans()

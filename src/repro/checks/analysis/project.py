@@ -4,7 +4,7 @@ A :class:`Project` is the whole-program view the deep analyses run over:
 every scanned module's :class:`~repro.checks.analysis.summary.ModuleSummary`
 plus the file contexts (suppression tables) and a resolver that turns the
 dotted call expressions recorded in summaries into fully-qualified
-function names (``repro.cluster.router.ClusterPool._io_loop``).
+function names (``repro.serve.worker.WorkerPool._run``).
 
 Resolution is deliberately one-level and syntactic (this is still a
 linter, not a type checker):

@@ -6,8 +6,8 @@ diagnostics) so ``--log-json`` runs stay machine-parsable; tracer spans
 are opened with ``with trace.span(...)`` so they always close (an
 unbalanced span corrupts the thread-local stack and every nesting
 depth after it); span counters are recorded while the span is open;
-request-path spans in serve/cluster code run under an active
-``TraceContext`` so the merged multi-process trace has no orphans.
+request-path spans in serving code run under an active
+``TraceContext`` so each request's trace has no orphans.
 """
 
 from __future__ import annotations
@@ -172,10 +172,10 @@ _CONTEXT_CALLS = frozenset({"activate", "request_context"})
     severity=Severity.ERROR,
     summary="request-path span opened without an active TraceContext",
     invariant=(
-        "Spans in serve/cluster request-handling code must run under the "
+        "Spans in serving request-handling code must run under the "
         "request's TraceContext — minted with request_context() at the "
-        "edge or re-activated with activate(ctx) past a thread/process "
-        "hop — or they surface as orphan roots in the merged trace."
+        "edge or re-activated with activate(ctx) past a thread hop — or "
+        "they surface as orphan roots in the request's trace."
     ),
     exempt_paths=(
         # Build-time spans (session construction), not request handling.

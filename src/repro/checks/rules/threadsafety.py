@@ -1,16 +1,15 @@
 """Thread-safety rules (``THR``).
 
 Invariants (``src/repro/core/gemm.py``, ``repro/obs/log.py``,
-``repro/serve/``, ``repro/cluster/``): process-wide singletons — the
-GEMM call counters, the logging config, metric registries, session
-caches — are shared across serving worker threads.  Every mutation of
+``repro/serve/``): process-wide singletons — the GEMM call counters,
+the logging config, metric registries, session caches — are shared across serving worker threads.  Every mutation of
 module-level mutable state must happen under its owning lock, every
 manual ``acquire`` must have a guaranteed ``release``, any module-level
 thread pool must rebuild itself after ``fork`` (compare ``os.getpid()``
 against the pid recorded at construction), and every
 ``multiprocessing.shared_memory`` segment must have a guaranteed
-``close()``/``unlink()`` path (the ``repro.cluster.shm`` ownership
-discipline) — leaked segments survive the process in ``/dev/shm``.
+``close()``/``unlink()`` path — leaked segments survive the process in
+``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -338,9 +337,9 @@ def _followed_by_closing_try(call: ast.Call, ctx: FileContext) -> bool:
 def _owned_by_closing_class(call: ast.Call, ctx: FileContext) -> bool:
     """``self.<attr> = SharedMemory(...)`` inside a class defining close().
 
-    The resource-owner pattern (``repro.cluster.shm.ShmSegment``): the
-    class takes custody of the segment and its ``close()`` is the single
-    cleanup point callers pair with try/finally or ``with``.
+    The resource-owner pattern: the class takes custody of the segment
+    and its ``close()`` is the single cleanup point callers pair with
+    try/finally or ``with``.
     """
     stmt = ctx.parents.get(call)
     if not isinstance(stmt, ast.Assign):
@@ -375,7 +374,7 @@ def _owned_by_closing_class(call: ast.Call, ctx: FileContext) -> bool:
         "close()d and (by its creator) unlink()ed leaks /dev/shm until "
         "reboot.  Every SharedMemory must be wrapped in a with block, a "
         "try/finally that closes it, or owned by a class whose close() "
-        "is the cleanup point (repro.cluster.shm.ShmSegment)."
+        "is the cleanup point."
     ),
 )
 def check_shared_memory_lifecycle(ctx: FileContext) -> Iterator[Finding]:
@@ -396,8 +395,7 @@ def check_shared_memory_lifecycle(ctx: FileContext) -> Iterator[Finding]:
             "THR204", node,
             "SharedMemory segment acquired without paired cleanup — use "
             "`with`, a try/finally calling close() (creator also "
-            "unlink()), or hand it to a close()-owning wrapper class "
-            "like repro.cluster.shm.ShmSegment",
+            "unlink()), or hand it to a close()-owning wrapper class",
         )
 
 

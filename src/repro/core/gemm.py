@@ -14,9 +14,9 @@ a GEMM issued through :func:`pgemm`, and ``pgemm(a, b)`` *is*
 
 The paper's accelerator gets its parallelism from PE-array allocation
 (Table 1), which :mod:`repro.accel` models; the serving stack gets it
-from worker threads and replica processes.  An earlier row-blocked
-thread pool here carried no measured win on the 2-core bench host and
-was deleted (``docs/performance.md``).
+from worker threads.  An earlier row-blocked thread pool here carried
+no measured win on the 2-core bench host and was deleted
+(``docs/performance.md``).
 
 Compiled inference plans (:mod:`repro.core.plan`) bind a GEMM shape with
 :func:`plan_gemm` and share a :class:`DispatchGroup` across consecutive

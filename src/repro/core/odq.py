@@ -72,7 +72,6 @@ from repro.core.masks import SensitivityMask, mask_from_magnitude
 from repro.obs import trace
 from repro.nn.layers import Conv2d
 from repro.quant.bitsplit import split_planes
-from repro.quant.observer import MinMaxObserver, Observer
 from repro.quant.uniform import QParams, affine_qparams, quantize, symmetric_qparams
 
 #: Result-generation paths accepted by the executor / scheme / CLI knob.
@@ -376,11 +375,9 @@ class ODQConvExecutor(ConvExecutor):
         threshold: float,
         total_bits: int = ODQ_TOTAL_BITS,
         low_bits: int = ODQ_LOW_BITS,
-        observer: Observer | None = None,
         keep_masks: bool = True,
         collect_partials: bool = False,
         weight_percentile: float = 97.0,
-        dynamic_act: bool = True,
         compensate_low_bits: bool = True,
         threshold_mode: str = "absolute",
         exec_path: str = "auto",
@@ -401,12 +398,8 @@ class ODQConvExecutor(ConvExecutor):
         self.threshold = threshold
         self.total_bits = total_bits
         self.low_bits = low_bits
-        self.observer = observer or MinMaxObserver()
         self.keep_masks = keep_masks
         self.weight_percentile = weight_percentile
-        #: Dynamic activation ranges (per batch, like the QAT layer and the
-        #: paper's runtime quantization); False falls back to the observer.
-        self.dynamic_act = dynamic_act
         #: Per-channel E[q_l]*sum(qw) correction of the predictor partial
         #: (see odq_mixed_conv); disable to get the raw Eq.-3 HH term.
         self.compensate_low_bits = compensate_low_bits
@@ -426,7 +419,6 @@ class ODQConvExecutor(ConvExecutor):
         self.output_std: float | None = None
         self._std_acc: list[float] = []
 
-        self.qp_a: QParams | None = None
         self.qp_w: QParams | None = None
         self._qw: np.ndarray | None = None       # full INT4 weights
         self._qw_high: np.ndarray | None = None  # W_HBS plane
@@ -436,7 +428,6 @@ class ODQConvExecutor(ConvExecutor):
     # -- calibration -------------------------------------------------------------
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:
-        self.observer.observe(x)
         out = self.reference_forward(x)
         if self.threshold_mode == "scaled":
             self._std_acc.append(float(out.std()))
@@ -447,8 +438,6 @@ class ODQConvExecutor(ConvExecutor):
         self.qp_w = odq_weight_qparams(w, self.total_bits, self.weight_percentile)
         if self.threshold_mode == "scaled":
             self.output_std = float(np.mean(self._std_acc)) if self._std_acc else 1.0
-        if not self.dynamic_act:
-            self.qp_a = self.observer.qparams(self.total_bits, signed=False)
         self._qw = quantize(w, self.qp_w)
         self._packed = pack_conv_weights(
             self._qw, self.qp_w, self.low_bits, a_max=2**self.total_bits - 1
@@ -459,10 +448,8 @@ class ODQConvExecutor(ConvExecutor):
         super().freeze()
 
     def _qp_a_for(self, x: np.ndarray) -> QParams:
-        """Activation qparams: per-batch range when ``dynamic_act``."""
-        if self.dynamic_act:
-            return affine_qparams(float(x.min()), float(x.max()), self.total_bits)
-        return self.qp_a
+        """Activation qparams from the batch's range (runtime quantization)."""
+        return affine_qparams(float(x.min()), float(x.max()), self.total_bits)
 
     @property
     def effective_threshold(self) -> float:

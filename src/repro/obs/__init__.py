@@ -11,11 +11,8 @@ The observability subsystem for the ODQ reproduction:
   ``repro.serve.metrics``;
 * :mod:`repro.obs.exporters` — JSONL, Chrome trace-event JSON,
   Prometheus text exposition, ASCII rollup;
-* :mod:`repro.obs.collector` — merges replica telemetry batches (spans,
-  log records, sensitivity samples) into one multi-lane timeline
-  (imported lazily by the serving/cluster tiers);
 * :mod:`repro.obs.drift` — EWMA drift monitor for per-layer sensitivity
-  vs the calibration baseline (imported lazily alongside the collector);
+  vs the calibration baseline (imported lazily by the serving tier);
 * :mod:`repro.obs.profile` — per-layer per-phase profiling behind
   ``repro profile`` (imported lazily; not re-exported here to keep
   ``repro.core`` → ``repro.obs`` import edges acyclic).

@@ -1,4 +1,4 @@
-"""Quantization drift monitor over the collected telemetry stream.
+"""Quantization drift monitor over the serving workers' layer samples.
 
 The paper's output-directed scheme fixes, at calibration time, which
 outputs are *sensitive* (dense-path) per layer; the serving engines then
@@ -7,11 +7,10 @@ drifts from the calibration distribution, the calibrated sensitivity
 thresholds stop being representative — accuracy and the dense/sparse
 cost model both degrade silently.
 
-:class:`DriftMonitor` watches the per-layer samples the telemetry
-channel ships (or the thread-pool worker publishes directly): it keeps
-an EWMA of each layer's ``sensitive_ratio`` and of its exec-path mix
-(sparse-path fraction of dispatch calls), compares them against the
-calibration baseline, and
+:class:`DriftMonitor` watches the per-layer samples the thread-pool
+workers publish after each batch: it keeps an EWMA of each layer's
+``sensitive_ratio`` and of its exec-path mix (sparse-path fraction of
+dispatch calls), compares them against the calibration baseline, and
 
 * publishes ``drift_sensitive_ratio:<layer>`` / ``drift_delta:<layer>``
   / ``drift_sparse_frac:<layer>`` / ``drift_alert:<layer>`` gauges on
@@ -46,8 +45,8 @@ class DriftMonitor:
     baseline:
         ``{layer: calibration sensitive_ratio}``.  Layers that appear in
         samples but not here adopt their *first observed* ratio as
-        baseline (self-anchoring), so echo-mode and partially calibrated
-        engines still get drift coverage.
+        baseline (self-anchoring), so partially calibrated engines still
+        get drift coverage.
     alpha:
         EWMA smoothing factor in ``(0, 1]``; 1.0 tracks the latest
         sample exactly.
@@ -84,8 +83,8 @@ class DriftMonitor:
 
         ``samples`` maps layer name to a dict with optional keys
         ``sensitive_ratio`` (float) and ``path_calls`` ({path: count});
-        this is the shape both the telemetry payloads and
-        :meth:`repro.serve.worker.WorkerPool.exec_census` produce.
+        this is the shape :meth:`repro.serve.worker.WorkerPool._publish_layer_densities`
+        builds from the layer densities and the exec census.
         Thread-safe.
         """
         updates: list[tuple[str, float, float, float | None, bool, bool]] = []

@@ -106,27 +106,11 @@ def _prom_name(name: str, namespace: str) -> str:
 
 
 def _split_labeled(name: str) -> tuple[str, dict]:
-    """Extract embedded labels from a registry metric name.
+    """Extract the layer label from a registry metric name.
 
-    Two label syntaxes nest inside flat registry names:
-
-    * ``"base@k=v,k2=v2"`` — explicit labels, e.g. the replica tier's
-      ``requests_total@replica=0`` → ``{"replica": "0"}``.  A malformed
-      pair (no ``=``) falls back to treating the whole suffix as an
-      opaque label value under ``label``.
-    * ``"base:rest"`` — legacy layer shorthand:
-      ``sensitive_ratio:C1:features.0`` → ``{"layer": "C1:features.0"}``.
+    ``"base:rest"`` names a per-layer series:
+    ``sensitive_ratio:C1:features.0`` → ``{"layer": "C1:features.0"}``.
     """
-    if "@" in name:
-        base, _, spec = name.partition("@")
-        labels: dict = {}
-        for pair in spec.split(","):
-            key, eq, value = pair.partition("=")
-            if eq and key:
-                labels[key.strip()] = value.strip()
-            else:
-                labels["label"] = pair.strip()
-        return base, labels
     if ":" in name:
         base, layer = name.split(":", 1)
         return base, {"layer": layer}
@@ -166,9 +150,7 @@ def prometheus_text(snapshot, namespace: str = "repro",
     ``as_dict()`` or the dict itself (``{"counters": {}, "gauges": {},
     "histograms": {name: summary}}``).  Histograms render as Prometheus
     *summaries* (quantile series + ``_sum`` / ``_count``).  Colon-labeled
-    names (``sensitive_ratio:<layer>``) become a ``layer`` label;
-    ``@k=v,…`` suffixes (``requests_total@replica=0``) become arbitrary
-    labels.
+    names (``sensitive_ratio:<layer>``) become a ``layer`` label.
 
     ``help_texts`` maps *raw registry names* (labels still embedded) to
     help strings; each family's first non-empty help renders as a

@@ -29,7 +29,6 @@ import os
 import sys
 import threading
 import time
-from collections import deque
 
 #: Numeric severities (stdlib-compatible ordering).
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
@@ -68,9 +67,6 @@ class _Config:
         self.stream = None
         #: User-facing stream (``console``).  ``None`` → current stdout.
         self.console_stream = None
-        #: Optional :class:`RecordBuffer` mirroring every emitted record
-        #: (replica telemetry shipping).  ``None`` = off.
-        self.buffer = None
 
 
 _CONFIG = _Config()
@@ -99,14 +95,6 @@ def reset() -> None:
     _CONFIG.reset()
     with _REGISTRY_LOCK:
         _LOGGERS.clear()
-
-
-def get_level() -> int:
-    return _CONFIG.level
-
-
-def json_mode() -> bool:
-    return _CONFIG.json_mode
 
 
 # -- formatting ---------------------------------------------------------------
@@ -142,58 +130,6 @@ def _emit(record: dict) -> None:
             stream.flush()
         except (OSError, ValueError):  # pragma: no cover - closed stream
             pass
-        if _CONFIG.buffer is not None:
-            _CONFIG.buffer.append(record)
-
-
-# -- record buffering (telemetry shipping) ------------------------------------
-
-
-class RecordBuffer:
-    """Bounded mirror of emitted log records.
-
-    Replica processes install one so their structured log records can be
-    batched over the telemetry channel alongside spans; the stream
-    output above is unaffected.  The deque is bounded — under sustained
-    traffic old records are dropped (counted in :attr:`dropped`) rather
-    than growing without bound between ships.
-    """
-
-    def __init__(self, capacity: int = 2048):
-        self._records: "deque[dict]" = deque(maxlen=capacity)
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self.dropped = 0
-
-    def append(self, record: dict) -> None:
-        with self._lock:
-            if len(self._records) == self._capacity:
-                self.dropped += 1
-            self._records.append(record)
-
-    def drain(self) -> list[dict]:
-        """Atomically take (and clear) all buffered records."""
-        with self._lock:
-            out = list(self._records)
-            self._records.clear()
-        return out
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-
-def install_buffer(capacity: int = 2048) -> RecordBuffer:
-    """Attach (or replace) the process-wide record buffer; returns it."""
-    buf = RecordBuffer(capacity)
-    with _CONFIG.lock:
-        _CONFIG.buffer = buf
-    return buf
-
-
-def remove_buffer() -> None:
-    with _CONFIG.lock:
-        _CONFIG.buffer = None
 
 
 # -- loggers ------------------------------------------------------------------
@@ -288,15 +224,10 @@ def console(*parts, sep: str = " ", err: bool = False) -> None:
 __all__ = [
     "LEVELS",
     "Logger",
-    "RecordBuffer",
     "configure",
     "reset",
-    "get_level",
-    "json_mode",
     "get_logger",
     "console",
     "format_human",
     "format_json",
-    "install_buffer",
-    "remove_buffer",
 ]

@@ -36,22 +36,18 @@ Enable globally with ``REPRO_TRACE=1`` in the environment, the CLI
 ``--trace`` flag, or :func:`enable` / :func:`Tracer.collect` from code.
 Export finished spans with :mod:`repro.obs.exporters`.
 
-Distributed tracing
--------------------
+Request tracing across threads
+------------------------------
 
-Spans parent through thread-local stacks, which stops at thread and
-process boundaries.  A :class:`TraceContext` carries the identity of a
-remote parent span — ``(trace_id, span_id, origin lane)``
-— across those boundaries: the HTTP tier mints one per request with
-:func:`request_context`, the batcher/router serialize it alongside the
-work (:meth:`TraceContext.to_wire` is a picklable tuple, small enough
-for the cluster control pipe), and the consuming thread or replica
-process re-activates it with :func:`activate`.  While a context is
-active, every new span records the ``trace_id`` and thread-root spans
-record a ``parent_ref`` (``"<lane>:<span_id>"``) pointing at the remote
-parent, which is how :mod:`repro.obs.collector` stitches spans from
-many processes into one tree per request.  Each process names its lane
-with :func:`set_process_lane` (``"router"``, ``"replica-0"``, …).
+Spans parent through thread-local stacks, which stops at thread
+boundaries.  A :class:`TraceContext` carries the identity of the parent
+span — ``(trace_id, span_id, origin)`` — across that hop: the HTTP
+handler mints one per request with :func:`request_context`, the batcher
+queues it alongside the work, and the worker thread re-activates it
+with :func:`activate`.  While a context is active, every new span
+records the ``trace_id`` and thread-root spans record a ``parent_ref``
+(``"<origin>:<span_id>"``) pointing at the parent, so each request's
+spans form one tree.
 """
 
 from __future__ import annotations
@@ -75,25 +71,6 @@ def _env_enabled(var: str = "REPRO_TRACE") -> bool:
     return os.environ.get(var, "").strip().lower() in _TRUTHY
 
 
-#: Name of this process's lane in merged multi-process traces.  The
-#: router/front-end process keeps the default; replicas call
-#: :func:`set_process_lane` ("replica-<id>") right after spawn.
-_PROCESS_LANE = "main"
-_LANE_LOCK = threading.Lock()
-
-
-def set_process_lane(name: str) -> None:
-    """Name this process's lane in merged traces (e.g. ``replica-0``)."""
-    global _PROCESS_LANE
-    with _LANE_LOCK:
-        _PROCESS_LANE = str(name)
-
-
-def process_lane() -> str:
-    """This process's lane name (``"main"`` unless set)."""
-    return _PROCESS_LANE
-
-
 def new_trace_id() -> str:
     """A fresh 16-hex-digit request trace id."""
     return uuid.uuid4().hex[:16]
@@ -101,39 +78,19 @@ def new_trace_id() -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The identity of a remote parent span, picklable for transport.
+    """The identity of a parent span, handed to another thread.
 
-    ``origin`` is the :func:`process_lane` of the process that owns
-    ``span_id`` — together they name the parent globally, so a span
-    opened in another thread or process can parent under it even though
-    span ids are only unique per-process.
+    ``origin`` names the tracer that owns ``span_id`` (``"main"`` for
+    the process-wide tracer); :meth:`parent_ref` joins the two.
     """
 
     trace_id: str
     span_id: int
-    origin: str
+    origin: str = "main"
 
     def parent_ref(self) -> str:
-        """Globally-unique reference to the parenting span."""
+        """Reference to the parenting span: ``"<origin>:<span_id>"``."""
         return f"{self.origin}:{self.span_id}"
-
-    def to_wire(self) -> tuple:
-        """Plain-tuple form for pipes/pickles (see :meth:`from_wire`)."""
-        return (self.trace_id, self.span_id, self.origin)
-
-    @classmethod
-    def from_wire(cls, wire: tuple | None) -> "TraceContext | None":
-        if wire is None:
-            return None
-        return cls(str(wire[0]), int(wire[1]), str(wire[2]))
-
-    def rebased(self, span_id: int, origin: str) -> "TraceContext":
-        """The same trace, re-parented under a new local span.
-
-        Used at hop points (router dispatch) so downstream spans parent
-        under the hop's span instead of skipping a level.
-        """
-        return TraceContext(self.trace_id, span_id, origin)
 
 
 @dataclass
@@ -297,9 +254,7 @@ class Tracer:
         self._enabled = False
 
     def _reset_epoch(self) -> None:
-        #: Wall-clock anchor so exported timestamps are absolute-ish while
-        #: intra-trace deltas keep perf_counter resolution.
-        self.epoch_wall = time.time()
+        #: Span start times are microseconds since this perf_counter read.
         self._epoch_perf = time.perf_counter()
 
     def reset(self) -> None:
@@ -417,18 +372,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def drain(self) -> list[SpanRecord]:
-        """Atomically take (and clear) all finished spans.
-
-        The replica telemetry loop uses this to ship each span exactly
-        once; the epoch is deliberately left untouched so drained
-        batches stay on one timeline.
-        """
-        with self._lock:
-            out = list(self._spans)
-            self._spans.clear()
-        return out
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
@@ -485,11 +428,6 @@ def spans() -> list[SpanRecord]:
     return _GLOBAL.spans()
 
 
-def drain() -> list[SpanRecord]:
-    """Module-level :meth:`Tracer.drain` on the global tracer."""
-    return _GLOBAL.drain()
-
-
 def activate(ctx: TraceContext | None):
     """Module-level :meth:`Tracer.activate` on the global tracer."""
     return _GLOBAL.activate(ctx)
@@ -504,8 +442,8 @@ def current_context() -> TraceContext | None:
 def request_context(name: str, **attrs):
     """Mint and activate a fresh request trace: the trace-tree root.
 
-    Opens a root span ``name`` (tagged ``trace_root`` so the collector
-    can tell genuine roots from orphans), builds a :class:`TraceContext`
+    Opens a root span ``name`` (tagged ``trace_root`` so a genuine root
+    can be told from an orphan), builds a :class:`TraceContext`
     parenting to it, and activates the context for the block.  Yields
     ``(span, ctx)``; when tracing is disabled both the span and the
     context are no-ops (``NOOP_SPAN``, ``None``) and nothing is minted.
@@ -515,7 +453,7 @@ def request_context(name: str, **attrs):
         return
     tid = new_trace_id()
     with span(name, trace_id=tid, trace_root=True, **attrs) as sp:
-        ctx = TraceContext(tid, sp.span_id, process_lane())
+        ctx = TraceContext(tid, sp.span_id)
         with _GLOBAL.activate(ctx):
             yield sp, ctx
 
@@ -536,11 +474,8 @@ __all__ = [
     "current",
     "collect",
     "spans",
-    "drain",
     "activate",
     "current_context",
     "request_context",
     "new_trace_id",
-    "set_process_lane",
-    "process_lane",
 ]

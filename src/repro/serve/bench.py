@@ -11,17 +11,7 @@ stream through three execution paths:
     one-at-a-time through the cached engine;
 ``batched``
     the full serving stack — cached session + dynamic micro-batcher +
-    worker pool, with all requests in flight concurrently;
-``replicated`` (only when ``config.replicas > 1``)
-    the multi-process tier — the same request stream through a
-    :class:`~repro.cluster.router.ClusterPool` of N engine processes.
-
-The replicated path carries a **bit-exactness gate**: every response is
-compared byte-for-byte against a single-engine reference that chunks
-each request exactly as the router does (deterministic fixed-size
-chunks; see ``repro/cluster/router.py`` for why boundaries must not
-depend on replica count).  ``result.bitexact["identical"]`` must be
-True — ``repro bench-serve --replicas N`` exits nonzero otherwise.
+    worker pool, with all requests in flight concurrently.
 
 Outputs requests/sec per path and the speedup of each path over naive.
 Used by ``python -m repro bench-serve`` and
@@ -37,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import trace
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import MetricsRegistry
@@ -76,13 +65,6 @@ class ServeBenchResult:
     #: Per-layer result-generation dispatch census from the batched
     #: pool's engines (see :meth:`repro.serve.worker.WorkerPool.exec_census`).
     exec_census: dict = field(default_factory=dict)
-    #: Replicated-path bit-exactness gate: ``{"requests", "identical",
-    #: "max_abs_diff"}``; empty unless ``config.replicas > 1``.
-    bitexact: dict = field(default_factory=dict)
-    #: :class:`~repro.obs.collector.TelemetryCollector` holding the merged
-    #: multi-process trace; set only when the replicated path ran with the
-    #: tracer enabled (``repro --trace bench-serve --replicas N``).
-    collector: object = None
 
     def speedup(self, path: str, baseline: str = "naive") -> float:
         return (
@@ -106,11 +88,6 @@ class ServeBenchResult:
             f"scheme={self.config.scheme} exec={self.config.exec_path} "
             f"batch<= {self.config.max_batch_size} "
             f"workers={self.config.workers}"
-            + (
-                f" replicas={self.config.replicas}"
-                if self.config.replicas > 1
-                else ""
-            )
         )
         parts = [ascii_table(
             ["path", "requests", "seconds", "req/s", "vs naive"], rows, title=title
@@ -132,13 +109,6 @@ class ServeBenchResult:
                 busy_rows,
                 title="worker utilisation (batched path)",
             ))
-        if self.bitexact:
-            verdict = "PASS" if self.bitexact["identical"] else "FAIL"
-            parts.append(
-                f"bit-exactness vs single-engine reference over "
-                f"{self.bitexact['requests']} requests: {verdict} "
-                f"(max |diff| = {self.bitexact['max_abs_diff']:.3g})"
-            )
         if self.exec_census:
             census_rows = [
                 [
@@ -174,8 +144,6 @@ class ServeBenchResult:
         }
         if self.exec_census:
             out["exec_census"] = self.exec_census
-        if self.bitexact:
-            out["bitexact"] = self.bitexact
         return out
 
 
@@ -243,125 +211,6 @@ def run_batched(
     return PathResult("batched", requests, elapsed, worker_busy=worker_busy)
 
 
-def _mixed_requests(
-    session: ModelSession, n: int, seed: int, max_batch: int
-) -> list[np.ndarray]:
-    """n requests of mixed sizes ``1 .. max_batch + 1`` (deterministic).
-
-    The ``max_batch + 1`` sizes force the router to split a request into
-    multiple chunks, so the bit-exactness gate also covers chunk
-    boundaries, not just whole-request routing.
-    """
-    rng = np.random.default_rng(seed)
-    pool = session.sample_inputs
-    out = []
-    for _ in range(n):
-        size = int(rng.integers(1, max_batch + 2))
-        idx = rng.integers(len(pool), size=size)
-        out.append(np.stack([pool[i] for i in idx]))
-    return out
-
-
-def _chunked_reference(engine, arr: np.ndarray, chunk_images: int) -> np.ndarray:
-    """Single-engine logits with the router's deterministic chunking."""
-    outs = [
-        engine.infer(arr[o : o + chunk_images])
-        for o in range(0, arr.shape[0], chunk_images)
-    ]
-    return np.concatenate(outs, axis=0)
-
-
-def run_replicated(
-    session: ModelSession,
-    config: ServeConfig,
-    requests: int,
-    seed: int,
-    census_out: dict | None = None,
-    bitexact_out: dict | None = None,
-    collector_out: list | None = None,
-) -> PathResult:
-    """The multi-process replica tier, all requests in flight.
-
-    Besides throughput, this path verifies the cluster's core numerical
-    contract: every response must be byte-identical to a single engine
-    running the same deterministic chunks (``bitexact_out``).
-
-    With the tracer enabled, each request is minted a
-    :class:`~repro.obs.trace.TraceContext` and the pool ships replica
-    telemetry to a :class:`~repro.obs.collector.TelemetryCollector`
-    (appended to ``collector_out``), so one bench run yields the full
-    merged multi-process trace.
-    """
-    from repro.cluster import ClusterPool
-
-    collector = None
-    if trace.enabled():
-        from repro.obs.collector import TelemetryCollector
-
-        collector = TelemetryCollector()
-        if collector_out is not None:
-            collector_out.append(collector)
-
-    def submit(pool, arr: np.ndarray) -> Future:
-        if collector is None:
-            return pool.submit(arr)
-        with trace.request_context(
-            "bench.request", batch=int(arr.shape[0])
-        ) as (_sp, ctx):
-            return pool.submit(arr, ctx=ctx)
-
-    images = _mixed_requests(session, requests, seed + 4, config.max_batch_size)
-    pool = ClusterPool(
-        config,
-        input_shape=session.input_shape,
-        num_classes=session.num_classes,
-        metrics=MetricsRegistry(),
-        collector=collector,
-    )
-    with pool:
-        # Exclude replica startup (process spawn + session build) and a
-        # first warm-up round from the timed window — the other paths'
-        # engines are warm by this point too.
-        pool.wait_ready(timeout=120)
-        warmup = [submit(pool, images[0][:1]) for _ in range(2 * config.replicas)]
-        for fut in warmup:
-            fut.result(timeout=240)
-        before = {w["name"]: w for w in pool.stats()}
-        t0 = time.perf_counter()
-        futures: list[Future] = [submit(pool, arr) for arr in images]
-        outputs = [fut.result(timeout=240) for fut in futures]
-        elapsed = time.perf_counter() - t0
-        worker_busy = []
-        for w in pool.stats():
-            base = before.get(w["name"], {})
-            busy = w["busy_seconds"] - base.get("busy_seconds", 0.0)
-            worker_busy.append({
-                "name": w["name"],
-                "batches": w["batches"] - base.get("batches", 0),
-                "images": w["images"] - base.get("images", 0),
-                "busy_seconds": round(busy, 4),
-                "busy_fraction": round(
-                    (busy / elapsed) if elapsed > 0 else 0.0, 4
-                ),
-            })
-        if census_out is not None:
-            census_out.update(pool.exec_census())
-    if bitexact_out is not None:
-        max_diff = 0.0
-        identical = True
-        for arr, out in zip(images, outputs):
-            ref = _chunked_reference(session.engine, arr, config.max_batch_size)
-            if not np.array_equal(out, ref):
-                identical = False
-                max_diff = max(max_diff, float(np.abs(out - ref).max()))
-        bitexact_out.update(
-            requests=requests,
-            identical=identical,
-            max_abs_diff=max_diff,
-        )
-    return PathResult("replicated", requests, elapsed, worker_busy=worker_busy)
-
-
 def run_serve_benchmark(
     config: ServeConfig | None = None,
     requests: int = 64,
@@ -372,8 +221,6 @@ def run_serve_benchmark(
 
     ``naive_requests`` is smaller because the naive path pays a full
     session build per request; its requests/sec rate is what's compared.
-    With ``config.replicas > 1`` the replicated path (and its
-    bit-exactness gate) is included.
     """
     config = config or ServeConfig()
     result = ServeBenchResult(config=config)
@@ -385,15 +232,6 @@ def run_serve_benchmark(
     result.paths["batched"] = run_batched(
         session, config, requests, config.seed, census_out=result.exec_census
     )
-    if config.replicas > 1:
-        collectors: list = []
-        result.paths["replicated"] = run_replicated(
-            session, config, requests, config.seed,
-            bitexact_out=result.bitexact,
-            collector_out=collectors,
-        )
-        if collectors:
-            result.collector = collectors[0]
     return result
 
 
@@ -403,6 +241,5 @@ __all__ = [
     "run_naive",
     "run_cached",
     "run_batched",
-    "run_replicated",
     "run_serve_benchmark",
 ]

@@ -4,17 +4,18 @@ One dataclass gathers every tuning knob of the serving stack (session
 build, micro-batching policy, worker pool size, HTTP front end) so the
 CLI, tests, and benchmarks construct servers from the same vocabulary.
 
-Compute parallelism comes from two knobs only: ``workers`` engine
-threads, or ``replicas`` engine processes when ``replicas > 1``.  Each
-GEMM runs on the thread that issues it (:mod:`repro.core.gemm`), so the
-compute lanes are exactly that count.
+Compute parallelism comes from one knob: ``workers`` engine threads.
+Each GEMM runs on the thread that issues it (:mod:`repro.core.gemm`), so
+the compute lanes are exactly that count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import DEFAULT_SEED
+from repro.obs.log import get_logger
+from repro.utils.host import usable_cores
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,6 @@ class ServeConfig:
     --------------
     workers:
         Engine worker threads; each confines its own engine clone.
-        Ignored when ``replicas > 1`` (the replica processes are the
-        workers then).
-    replicas:
-        Engine replica *processes* (:mod:`repro.cluster`).  ``1`` (the
-        default) keeps the in-process thread pool; ``> 1`` runs that
-        many spawn-started replica processes behind a shared-memory
-        router — true core parallelism, unconstrained by the GIL.
     gemm_threads:
         Accepts only ``None`` or ``1`` and is read by nothing.  It is
         kept because the end-to-end benchmark's reference session
@@ -83,9 +77,6 @@ class ServeConfig:
         (:mod:`repro.obs.drift`): a layer whose EWMA sensitive ratio
         moves more than this from its calibration baseline flips its
         ``drift_alert`` gauge and logs a warning.
-    telemetry_spool:
-        Optional path of a JSONL spool the telemetry collector appends
-        merged records to live (``repro trace-tail`` follows it).
     """
 
     model: str = "lenet"
@@ -101,15 +92,11 @@ class ServeConfig:
     max_batch_size: int = 8
 
     workers: int = 2
-    replicas: int = 1
     gemm_threads: int | None = None
     host: str = "127.0.0.1"
     port: int = 8321
 
     drift_band: float = 0.15
-    telemetry_spool: str | None = None
-
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -118,11 +105,6 @@ class ServeConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.replicas < 1:
-            raise ValueError(
-                f"replicas must be >= 1 (1 = in-process thread pool, "
-                f"N > 1 = N replica processes), got {self.replicas}"
-            )
         if self.gemm_threads not in (None, 1):
             raise ValueError(
                 f"gemm_threads must be None or 1, got {self.gemm_threads}"
@@ -142,27 +124,19 @@ class ServeConfig:
         self._warn_if_oversubscribed()
 
     def _warn_if_oversubscribed(self) -> None:
-        """Log when the lane count exceeds the affinity mask.
+        """Log when the worker count exceeds the affinity mask.
 
-        Compute lanes are ``replicas`` on the process path and
-        ``workers`` on the thread path.  Exceeding the usable cores
-        silently timeshares — legal, but it erases the scaling the knobs
-        promise, so surface it once at config build instead of letting
-        users discover it in a flat benchmark curve.
+        Each worker thread is one compute lane.  Exceeding the usable
+        cores silently timeshares — legal, but it erases the scaling the
+        knob promises, so surface it once at config build instead of
+        letting users discover it in a flat benchmark curve.
         """
-        from repro.cluster.sizing import usable_cores
-
         cores = usable_cores()
-        lanes = self.replicas if self.replicas > 1 else self.workers
-        if lanes > cores:
-            from repro.obs.log import get_logger
-
+        if self.workers > cores:
             get_logger("repro.serve.config").warning(
                 "compute_lanes_oversubscribed",
-                lanes=lanes,
+                lanes=self.workers,
                 usable_cores=cores,
-                replicas=self.replicas,
-                workers=self.workers,
             )
 
 

@@ -120,7 +120,6 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if route == "/healthz":
             self._send_json(app.health(), 503 if app.draining else 200)
         elif route == "/metrics":
-            app.refresh_metrics()
             if self._wants_prometheus(parse_qs(parsed.query)):
                 self._send_text(app.metrics.prometheus())
             else:
@@ -206,8 +205,8 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             raise _ClientError("inputs must be finite (got NaN or Inf)")
 
         # Mint the request's trace context here — the outermost point
-        # that knows the request — and hand it to the backend so worker
-        # threads and replica processes parent under this span.
+        # that knows the request — and hand it to the batcher so the
+        # worker thread's spans parent under this span.
         with trace.request_context(
             "serve.predict", batch=int(arr.shape[0])
         ) as (_sp, ctx):

@@ -118,7 +118,7 @@ class MetricsRegistry:
     def help_texts(self) -> dict:
         """``{raw metric name: help string}`` for every named metric.
 
-        Keys keep their embedded labels (``requests_total@replica=0``);
+        Keys keep their embedded labels (``sensitive_ratio:<layer>``);
         the Prometheus exporter resolves them per family when emitting
         ``# HELP`` metadata.
         """

@@ -1,8 +1,8 @@
 """The serving composition root: session cache → batcher → workers → HTTP.
 
 :class:`InferenceServer` wires the pieces of ``repro.serve`` together and
-owns their lifecycles.  With ``replicas=1`` (the default) requests flow
-through the in-process thread pool:
+owns their lifecycles.  Requests flow through the in-process thread
+pool:
 
 .. code-block:: text
 
@@ -11,17 +11,6 @@ through the in-process thread pool:
     HTTP /predict ─┘        │                  │
                             └── futures <─ split outputs
 
-With ``replicas > 1`` the same front end drives the multi-process tier
-(:mod:`repro.cluster`) instead — N replica processes fed over
-shared-memory arenas, with least-queued placement and crash-respawn
-supervision:
-
-.. code-block:: text
-
-    HTTP /predict ──> ClusterPool ──> replica process 0 (engine)
-                        │  router ──> replica process 1 (engine)
-                        └─ futures <── shared-memory logits
-
 Use it embedded (tests, benchmarks)::
 
     with InferenceServer(ServeConfig(model="lenet", port=0)) as server:
@@ -29,7 +18,7 @@ Use it embedded (tests, benchmarks)::
         ...
 
 or from the CLI: ``python -m repro serve --model lenet --scheme odq
---replicas 4``.
+--workers 2``.
 """
 
 from __future__ import annotations
@@ -38,7 +27,6 @@ import threading
 
 import numpy as np
 
-from repro.obs.collector import TelemetryCollector
 from repro.obs.drift import DriftMonitor, baseline_from_engine
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
@@ -54,7 +42,7 @@ class InferenceServer:
 
     Construction builds (or fetches from ``sessions``) the model session —
     the expensive, amortized-once part — and prepares the batcher and
-    worker pool (or, for ``config.replicas > 1``, the replica cluster).
+    worker pool.
     :meth:`start` spawns the workers and the HTTP listener;
     :meth:`shutdown` reverses everything and joins all threads.
     """
@@ -70,9 +58,8 @@ class InferenceServer:
         self.verbose = verbose
         self.metrics = MetricsRegistry()
 
-        # The front-end session validates request shapes and describes
-        # itself on /healthz; in cluster mode the replicas build their
-        # own (bit-identical) sessions and this one never infers.
+        # The session validates request shapes, describes itself on
+        # /healthz, and its engine becomes worker 0.
         self.session: ModelSession = self.sessions.get_or_create(self.config)
         # Drift monitor baseline: the front-end session calibrated at
         # build, so its engine records hold the calibration-set per-layer
@@ -82,34 +69,14 @@ class InferenceServer:
             band=self.config.drift_band,
             metrics=self.metrics,
         )
-        self.collector: TelemetryCollector | None = None
-        self.cluster = None
-        self.batcher: MicroBatcher | None = None
-        self.pool: WorkerPool | None = None
-        if self.config.replicas > 1:
-            from repro.cluster import ClusterPool
-
-            self.collector = TelemetryCollector(
-                metrics=self.metrics,
-                drift=self.drift,
-                spool_path=self.config.telemetry_spool,
-            )
-            self.cluster = ClusterPool(
-                self.config,
-                input_shape=self.session.input_shape,
-                num_classes=self.session.num_classes,
-                metrics=self.metrics,
-                collector=self.collector,
-            )
-        else:
-            self.batcher = MicroBatcher(max_batch_size=self.config.max_batch_size)
-            self.pool = WorkerPool(
-                self.session,
-                self.batcher,
-                metrics=self.metrics,
-                num_workers=self.config.workers,
-                drift=self.drift,
-            )
+        self.batcher = MicroBatcher(max_batch_size=self.config.max_batch_size)
+        self.pool = WorkerPool(
+            self.session,
+            self.batcher,
+            metrics=self.metrics,
+            num_workers=self.config.workers,
+            drift=self.drift,
+        )
         self._httpd: ServingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._started = False
@@ -122,10 +89,7 @@ class InferenceServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        if self.cluster is not None:
-            self.cluster.start()
-        else:
-            self.pool.start()
+        self.pool.start()
         self._httpd = ServingHTTPServer((self.config.host, self.config.port), self)
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -154,12 +118,7 @@ class InferenceServer:
             self._httpd.server_close()   # release the socket
         if self._http_thread is not None:
             self._http_thread.join(timeout)
-        if self.cluster is not None:
-            self.cluster.shutdown(timeout)
-        else:
-            self.pool.shutdown(timeout)
-        if self.collector is not None:
-            self.collector.close()
+        self.pool.shutdown(timeout)
 
     @property
     def draining(self) -> bool:
@@ -195,48 +154,32 @@ class InferenceServer:
     # -- request dispatch ---------------------------------------------------
 
     def submit(self, arr: np.ndarray, ctx=None):
-        """Route a request batch to the active backend; returns a Future.
+        """Queue a request batch for the worker pool; returns a Future.
 
         ``ctx`` is the request's :class:`~repro.obs.trace.TraceContext`
-        (or ``None``), threaded through so backend spans parent under
+        (or ``None``), threaded through so worker spans parent under
         the HTTP request span.
         """
-        if self.cluster is not None:
-            return self.cluster.submit(arr, ctx=ctx)
         return self.batcher.submit(arr, ctx=ctx)
-
-    def refresh_metrics(self) -> None:
-        """Pull backend-side counters into the registry (scrape-time)."""
-        if self.cluster is not None:
-            self.cluster.refresh_metrics()
 
     # -- endpoint bodies ----------------------------------------------------
 
     def health(self) -> dict:
-        body = {
+        return {
             "status": "draining" if self._draining else "ok",
             "session": self.session.describe(),
+            "workers_alive": self.pool.alive_workers,
+            "queue_depth": len(self.batcher),
+            "requests_submitted": self.batcher.submitted,
+            "batches_dispatched": self.batcher.dispatched,
         }
-        if self.cluster is not None:
-            body["replicas"] = self.cluster.liveness()
-            body["replicas_alive"] = self.cluster.alive_replicas
-            body["requests_submitted"] = self.cluster.submitted
-            body["batches_dispatched"] = self.cluster.dispatched
-        else:
-            body["workers_alive"] = self.pool.alive_workers
-            body["queue_depth"] = len(self.batcher)
-            body["requests_submitted"] = self.batcher.submitted
-            body["batches_dispatched"] = self.batcher.dispatched
-        return body
 
     def render_stats(self) -> str:
         """Plain-text operator view: metrics tables + workers + session."""
-        self.refresh_metrics()
         parts = [self.metrics.render(title=f"repro.serve — {self.session.key}")]
-        backend = self.cluster if self.cluster is not None else self.pool
         worker_rows = [
             [s["name"], s["batches"], s["images"], s["errors"], s["busy_seconds"]]
-            for s in backend.stats()
+            for s in self.pool.stats()
         ]
         parts.append(
             ascii_table(

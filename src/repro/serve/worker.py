@@ -80,8 +80,7 @@ class WorkerPool:
         Worker thread count (each confines its own engine clone).
     drift:
         Optional :class:`~repro.obs.drift.DriftMonitor` fed the same
-        per-layer samples the gauges publish (the thread-pool analogue
-        of the cluster telemetry channel).
+        per-layer samples the gauges publish.
     """
 
     POLL_SECONDS = 0.05  #: batcher poll period, bounds shutdown latency

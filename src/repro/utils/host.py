@@ -1,4 +1,4 @@
-"""Host facts shared by the GEMM pool, replica sizing and the benchmarks."""
+"""Host facts: the cores this process may run on."""
 
 from __future__ import annotations
 

@@ -18,11 +18,6 @@ SRC = Path(__file__).resolve().parents[3] / "src"
 
 #: (kind, fully-qualified target, resolved) for every spawn site in src/.
 EXPECTED_ROOTS = {
-    # Replica worker processes forked by the cluster supervisor.
-    ("process", "repro.cluster.worker.replica_main", True),
-    # Cluster I/O multiplexer and replica health monitor.
-    ("thread", "repro.cluster.router.ClusterPool._io_loop", True),
-    ("thread", "repro.cluster.supervisor.Supervisor._monitor_loop", True),
     # The HTTP accept loop: a stdlib method on an instance attribute —
     # kept as an unresolved pseudo-root so it stays visible here.
     ("thread", "repro.serve.server.self._httpd.serve_forever", False),
@@ -51,10 +46,6 @@ class TestRealTreeRoots:
 
     def test_spawners_are_recorded(self, graph):
         spawners = {r.target: r.spawner for r in graph.roots}
-        assert (
-            spawners["repro.cluster.worker.replica_main"]
-            == "repro.cluster.supervisor.Supervisor._spawn"
-        )
         assert (
             spawners["repro.serve.worker.WorkerPool._run"]
             == "repro.serve.worker.WorkerPool.__init__"

@@ -197,7 +197,7 @@ class TestTHR204SharedMemoryLifecycle:
 
     def test_close_owning_class_is_clean(self):
         # The resource-owner pattern: the attribute's class exposes the
-        # close() that releases the segment (repro.cluster.shm.ShmSegment).
+        # close() that releases the segment.
         src = """
         from multiprocessing.shared_memory import SharedMemory
 

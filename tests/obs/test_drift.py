@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro.obs import log as obs_log
@@ -67,18 +70,20 @@ class TestAlerting:
         assert not mon.snapshot()["L"]["alert"]
 
     def test_warns_once_per_crossing(self):
-        buf = obs_log.install_buffer()
+        stream = io.StringIO()
+        obs_log.configure(stream=stream, json_mode=True)
         try:
             mon = DriftMonitor(baseline={"L": 0.2}, alpha=1.0, band=0.15)
             mon.observe({"L": {"sensitive_ratio": 0.5}})   # crossing → warn
             mon.observe({"L": {"sensitive_ratio": 0.6}})   # still out → quiet
             mon.observe({"L": {"sensitive_ratio": 0.21}})  # back in → re-arm
             mon.observe({"L": {"sensitive_ratio": 0.7}})   # crossing → warn
-            events = [r for r in buf.drain() if r["event"] == "drift_exceeded"]
+            records = [json.loads(line) for line in stream.getvalue().splitlines()]
+            events = [r for r in records if r["event"] == "drift_exceeded"]
             assert len(events) == 2
             assert events[0]["layer"] == "L"
         finally:
-            obs_log.remove_buffer()
+            obs_log.reset()
 
 
 class TestGauges:

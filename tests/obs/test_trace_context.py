@@ -1,4 +1,4 @@
-"""TraceContext propagation: minting, wire forms, activation, lanes."""
+"""TraceContext propagation: minting and activation."""
 
 from __future__ import annotations
 
@@ -18,40 +18,11 @@ class TestTraceContext:
         ctx = TraceContext("abcd1234abcd1234", 7, "replica-3")
         assert ctx.parent_ref() == "replica-3:7"
 
-    def test_wire_roundtrip(self):
-        ctx = TraceContext("abcd1234abcd1234", 7, "main")
-        assert ctx.to_wire() == ("abcd1234abcd1234", 7, "main")
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-
-    def test_from_wire_none_passthrough(self):
-        assert TraceContext.from_wire(None) is None
-
-    def test_rebased_keeps_trace_id(self):
-        ctx = TraceContext("abcd1234abcd1234", 7, "main")
-        hop = ctx.rebased(42, "replica-1")
-        assert hop.trace_id == ctx.trace_id
-        assert hop.parent_ref() == "replica-1:42"
-        # Original is frozen/unchanged.
-        assert ctx.parent_ref() == "main:7"
-
     def test_new_trace_ids_are_16_hex_and_distinct(self):
         a, b = trace.new_trace_id(), trace.new_trace_id()
         assert len(a) == 16 and len(b) == 16
         int(a, 16)  # must be valid hex
         assert a != b
-
-
-class TestProcessLane:
-    def test_default_lane_is_main(self):
-        assert trace.process_lane() == "main"
-
-    def test_set_and_restore(self):
-        prev = trace.process_lane()
-        try:
-            trace.set_process_lane("replica-9")
-            assert trace.process_lane() == "replica-9"
-        finally:
-            trace.set_process_lane(prev)
 
 
 class TestActivation:
@@ -96,25 +67,6 @@ class TestActivation:
         assert tracer.current_context() is None
 
 
-class TestDrain:
-    def test_drain_ships_each_span_exactly_once(self, tracer):
-        with tracer.span("a"):
-            pass
-        first = tracer.drain()
-        assert [s.name for s in first] == ["a"]
-        assert tracer.drain() == []
-        with tracer.span("b"):
-            pass
-        assert [s.name for s in tracer.drain()] == ["b"]
-
-    def test_drain_leaves_epoch_untouched(self, tracer):
-        epoch = tracer.epoch_wall
-        with tracer.span("a"):
-            pass
-        tracer.drain()
-        assert tracer.epoch_wall == epoch
-
-
 class TestRequestContext:
     def test_disabled_yields_noop_and_none(self):
         assert not trace.enabled()
@@ -126,7 +78,7 @@ class TestRequestContext:
         with trace.get_tracer().collect():
             with trace.request_context("serve.predict", batch=2) as (sp, ctx):
                 assert ctx.span_id == sp.span_id
-                assert ctx.origin == trace.process_lane()
+                assert ctx.origin == "main"
                 assert trace.current_context() is ctx
                 with trace.span("inner"):
                     pass

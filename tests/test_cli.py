@@ -85,6 +85,15 @@ class TestServeArgs:
         assert cfg.port == 0
         assert cfg.max_batch_size == 4
 
+    @pytest.mark.parametrize("flag", ["--replicas", "--telemetry-spool"])
+    def test_process_lane_flags_are_usage_errors(self, flag, capsys):
+        # Worker threads are the only serving lane; a replica-process
+        # flag must fail loudly instead of being ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("name", ["lenet", "lenet5"])
 def test_lenet_alias_builds(name):
@@ -102,49 +111,6 @@ def test_console_script_declared():
     ).read_text()
     assert '[project.scripts]' in pyproject
     assert 'repro = "repro.__main__:main"' in pyproject
-
-
-class TestTraceTail:
-    SPAN = ('{"kind":"span","proc":"replica-0","name":"replica.chunk",'
-            '"duration_us":1500.0,"attrs":{"trace_id":"abcd1234abcd1234"}}')
-    LOG = ('{"kind":"log","proc":"replica-1","level":"warning",'
-           '"logger":"repro.cluster.worker","event":"replica_injected_crash"}')
-
-    def _spool(self, tmp_path):
-        spool = tmp_path / "spool.jsonl"
-        spool.write_text(self.SPAN + "\n" + self.LOG + "\n")
-        return spool
-
-    def test_missing_spool_errors(self, tmp_path, capsys):
-        assert main(["trace-tail", str(tmp_path / "nope.jsonl")]) == 1
-        assert "no spool" in capsys.readouterr().err
-
-    def test_formats_span_and_log_lines(self, tmp_path, capsys):
-        assert main(["trace-tail", str(self._spool(tmp_path))]) == 0
-        out = capsys.readouterr().out
-        assert "replica-0" in out and "replica.chunk" in out
-        assert "1.500 ms" in out
-        assert "trace=abcd1234abcd1234" in out
-        assert "WARNING" in out and "replica_injected_crash" in out
-
-    def test_raw_passthrough(self, tmp_path, capsys):
-        assert main(
-            ["trace-tail", str(self._spool(tmp_path)), "--raw"]
-        ) == 0
-        assert self.SPAN in capsys.readouterr().out
-
-    def test_unparsable_line_passes_through(self):
-        from repro.__main__ import _format_tail_line
-
-        assert _format_tail_line("not json at all") == "not json at all"
-
-    def test_follow_from_start_honors_duration(self, tmp_path, capsys):
-        rc = main([
-            "trace-tail", str(self._spool(tmp_path)),
-            "--follow", "--from-start", "--poll", "0.05", "--duration", "0.2",
-        ])
-        assert rc == 0
-        assert "replica.chunk" in capsys.readouterr().out
 
 
 class TestGlobalFlagPosition:
