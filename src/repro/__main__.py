@@ -20,9 +20,6 @@ Commands
 ``check``
     Run the project-invariant static analyzer (``repro.checks``) over
     the source tree; see ``docs/static-analysis.md``.
-``bench-serve``
-    Closed-loop throughput comparison: naive rebuild-per-request vs
-    cached session vs cached session + micro-batching.
 
 Global observability flags (valid before or after the command name):
 ``--trace`` (enable the span tracer), ``--trace-out PATH`` (write the
@@ -133,9 +130,7 @@ def _cmd_plan(args) -> int:
     session = ModelSession(config)
     stats = session.engine.plan_stats()
     console(
-        f"repro plan — model={session.key.model} scheme={session.key.scheme} "
-        f"threshold={session.key.threshold} exec_path={session.key.exec_path} "
-        f"batch={config.max_batch_size}"
+        f"repro plan — {session.label()} batch={config.max_batch_size}"
     )
     for plan in session.engine._plans.values():
         d = plan.describe()
@@ -249,27 +244,6 @@ def _cmd_check(args) -> int:
     return run_check(args)
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.serve.bench import run_serve_benchmark
-
-    result = run_serve_benchmark(
-        _serve_config_from_args(args),
-        requests=args.requests,
-        naive_requests=args.naive_requests,
-    )
-    console(result.render())
-    speedup = result.speedup("batched")
-    console(f"\ncached+batched vs naive: {speedup:.1f}x")
-    if args.out:
-        import pathlib
-
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(result.render() + "\n")
-        console(f"[written to {path}]")
-    return 0
-
-
 def _global_options() -> argparse.ArgumentParser:
     """Observability flags shared by the root parser and every subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -374,18 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--verbose", action="store_true",
                          help="log each HTTP request")
 
-    p_bench = sub.add_parser(
-        "bench-serve", help="throughput: naive vs cached vs micro-batched",
-        parents=[global_opts],
-    )
-    _add_serve_options(p_bench)
-    p_bench.add_argument("--requests", type=int, default=64,
-                         help="requests for the cached/batched paths")
-    p_bench.add_argument("--naive-requests", type=int, default=4,
-                         help="requests for the (slow) naive path")
-    p_bench.add_argument("--out", default=None,
-                         help="also write the table to this file")
-
     from repro.checks.cli import add_check_arguments
 
     p_check = sub.add_parser(
@@ -406,7 +368,6 @@ HANDLERS = {
     "plan": _cmd_plan,
     "quickstart": _cmd_quickstart,
     "serve": _cmd_serve,
-    "bench-serve": _cmd_bench_serve,
     "check": _cmd_check,
 }
 

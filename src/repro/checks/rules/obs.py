@@ -160,7 +160,7 @@ def check_counter_outside_span(ctx: FileContext) -> Iterator[Finding]:
 
 #: Directories whose spans sit on the request path and must parent into
 #: the distributed trace (see ``repro.obs.trace.TraceContext``).
-_REQUEST_PATH_DIRS = ("repro/serve/", "repro/cluster/")
+_REQUEST_PATH_DIRS = ("repro/serve/",)
 
 #: Calls that establish the active trace context in a function.
 _CONTEXT_CALLS = frozenset({"activate", "request_context"})

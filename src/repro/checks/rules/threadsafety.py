@@ -2,14 +2,12 @@
 
 Invariants (``src/repro/core/gemm.py``, ``repro/obs/log.py``,
 ``repro/serve/``): process-wide singletons — the GEMM call counters,
-the logging config, metric registries, session caches — are shared across serving worker threads.  Every mutation of
-module-level mutable state must happen under its owning lock, every
-manual ``acquire`` must have a guaranteed ``release``, any module-level
-thread pool must rebuild itself after ``fork`` (compare ``os.getpid()``
-against the pid recorded at construction), and every
-``multiprocessing.shared_memory`` segment must have a guaranteed
-``close()``/``unlink()`` path — leaked segments survive the process in
-``/dev/shm``.
+the logging config, metric registries — are shared across serving
+worker threads.  Every mutation of module-level mutable state must
+happen under its owning lock, every manual ``acquire`` must have a
+guaranteed ``release``, and any module-level thread pool must rebuild
+itself after ``fork`` (compare ``os.getpid()`` against the pid recorded
+at construction).
 """
 
 from __future__ import annotations
@@ -278,130 +276,8 @@ def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
             )
 
 
-def _try_closes(try_node: ast.Try) -> bool:
-    """finally block calls ``.close()`` or ``.unlink()`` on something."""
-    for stmt in try_node.finalbody:
-        for sub in ast.walk(stmt):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in ("close", "unlink")
-            ):
-                return True
-    return False
-
-
-def _in_with_statement(node: ast.AST, ctx: FileContext) -> bool:
-    """The call is a ``with`` item's context expression (possibly nested)."""
-    cur = node
-    parent = ctx.parents.get(cur)
-    while parent is not None and not isinstance(
-        parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-    ):
-        if isinstance(parent, (ast.With, ast.AsyncWith)):
-            for item in parent.items:
-                for sub in ast.walk(item.context_expr):
-                    if sub is node:
-                        return True
-        cur, parent = parent, ctx.parents.get(parent)
-    return False
-
-
-def _under_closing_try(node: ast.AST, ctx: FileContext) -> bool:
-    cur = ctx.parents.get(node)
-    while cur is not None and not isinstance(
-        cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-    ):
-        if isinstance(cur, ast.Try) and _try_closes(cur):
-            return True
-        cur = ctx.parents.get(cur)
-    return False
-
-
-def _followed_by_closing_try(call: ast.Call, ctx: FileContext) -> bool:
-    """``seg = SharedMemory(...)`` immediately followed by
-    ``try/.../finally: seg.close()``."""
-    stmt = ctx.parents.get(call)
-    if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.Expr)):
-        return False
-    owner = ctx.parents.get(stmt)
-    for body in ("body", "orelse", "finalbody"):
-        stmts = getattr(owner, body, None)
-        if isinstance(stmts, list) and stmt in stmts:
-            idx = stmts.index(stmt)
-            if idx + 1 < len(stmts) and isinstance(stmts[idx + 1], ast.Try):
-                return _try_closes(stmts[idx + 1])
-    return False
-
-
-def _owned_by_closing_class(call: ast.Call, ctx: FileContext) -> bool:
-    """``self.<attr> = SharedMemory(...)`` inside a class defining close().
-
-    The resource-owner pattern: the class takes custody of the segment
-    and its ``close()`` is the single cleanup point callers pair with
-    try/finally or ``with``.
-    """
-    stmt = ctx.parents.get(call)
-    if not isinstance(stmt, ast.Assign):
-        return False
-    assigns_self_attr = any(
-        isinstance(t, ast.Attribute)
-        and isinstance(t.value, ast.Name)
-        and t.value.id == "self"
-        for t in stmt.targets
-    )
-    if not assigns_self_attr:
-        return False
-    cur = ctx.parents.get(stmt)
-    while cur is not None:
-        if isinstance(cur, ast.ClassDef):
-            return any(
-                isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and s.name == "close"
-                for s in cur.body
-            )
-        cur = ctx.parents.get(cur)
-    return False
-
-
-@rule(
-    id="THR204",
-    family="threads",
-    severity=Severity.ERROR,
-    summary="SharedMemory acquired without paired close()/unlink() cleanup",
-    invariant=(
-        "POSIX shared memory outlives the process: a segment that is not "
-        "close()d and (by its creator) unlink()ed leaks /dev/shm until "
-        "reboot.  Every SharedMemory must be wrapped in a with block, a "
-        "try/finally that closes it, or owned by a class whose close() "
-        "is the cleanup point."
-    ),
-)
-def check_shared_memory_lifecycle(ctx: FileContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and terminal_name(node.func) == "SharedMemory"
-        ):
-            continue
-        if (
-            _in_with_statement(node, ctx)
-            or _under_closing_try(node, ctx)
-            or _followed_by_closing_try(node, ctx)
-            or _owned_by_closing_class(node, ctx)
-        ):
-            continue
-        yield ctx.finding(
-            "THR204", node,
-            "SharedMemory segment acquired without paired cleanup — use "
-            "`with`, a try/finally calling close() (creator also "
-            "unlink()), or hand it to a close()-owning wrapper class",
-        )
-
-
 __all__ = [
     "check_unlocked_module_state",
     "check_bare_acquire",
     "check_pool_fork_safety",
-    "check_shared_memory_lifecycle",
 ]

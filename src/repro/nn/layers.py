@@ -307,13 +307,6 @@ class BatchNorm2d(Module):
         beta = self.beta.reshape(1, -1, 1, 1)
         return xhat * gamma + beta
 
-    def fold_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return per-channel (scale, shift) equivalent at eval time."""
-        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-        scale = self.gamma.data * inv_std
-        shift = self.beta.data - self.running_mean * scale
-        return scale, shift
-
 
 class MaxPool2d(Module):
     """Max pool; becomes identity when the input is smaller than the window

@@ -11,7 +11,6 @@ from repro.quant.uniform import (
 )
 from repro.quant.observer import Observer, MinMaxObserver, PercentileObserver
 from repro.quant.bitsplit import BitPlanes, split_planes, cross_terms, predictor_term
-from repro.quant.fold import fold_conv_bn, fold_batchnorm
 from repro.quant.dorefa import (
     quantize_k,
     dorefa_weight_transform,
@@ -37,8 +36,6 @@ __all__ = [
     "split_planes",
     "cross_terms",
     "predictor_term",
-    "fold_conv_bn",
-    "fold_batchnorm",
     "quantize_k",
     "dorefa_weight_transform",
     "fake_quant_weight",

@@ -8,19 +8,16 @@ HTTP front end.  See ``docs/serving.md`` for the architecture tour and
 """
 
 from repro.serve.batcher import BatcherClosed, MicroBatch, MicroBatcher
-from repro.serve.bench import ServeBenchResult, run_serve_benchmark
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.server import InferenceServer
-from repro.serve.session import ModelSession, SessionKey, SessionManager
+from repro.serve.session import ModelSession
 from repro.serve.worker import WorkerPool, WorkerStats
 
 __all__ = [
     "BatcherClosed",
     "MicroBatch",
     "MicroBatcher",
-    "ServeBenchResult",
-    "run_serve_benchmark",
     "ServeConfig",
     "Counter",
     "Gauge",
@@ -28,8 +25,6 @@ __all__ = [
     "MetricsRegistry",
     "InferenceServer",
     "ModelSession",
-    "SessionKey",
-    "SessionManager",
     "WorkerPool",
     "WorkerStats",
 ]

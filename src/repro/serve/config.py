@@ -48,8 +48,7 @@ class ServeConfig:
         (:mod:`repro.core.plan`) at session warm-up and reuse them per
         batch shape.  ``False`` (the ``--no-plan`` escape hatch) keeps
         the legacy per-call path.  This changes speed, never results
-        (planned execution is bit-identical), so it is not part of the
-        session identity key.
+        (planned execution is bit-identical).
 
     Batching
     --------

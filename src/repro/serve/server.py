@@ -1,4 +1,4 @@
-"""The serving composition root: session cache → batcher → workers → HTTP.
+"""The serving composition root: session → batcher → workers → HTTP.
 
 :class:`InferenceServer` wires the pieces of ``repro.serve`` together and
 owns their lifecycles.  Requests flow through the in-process thread
@@ -32,7 +32,7 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.http import ServingHTTPServer
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.session import ModelSession, SessionManager
+from repro.serve.session import ModelSession
 from repro.serve.worker import WorkerPool
 from repro.utils.report import ascii_table
 
@@ -40,9 +40,10 @@ from repro.utils.report import ascii_table
 class InferenceServer:
     """A long-lived batched quantized-inference server.
 
-    Construction builds (or fetches from ``sessions``) the model session —
-    the expensive, amortized-once part — and prepares the batcher and
-    worker pool.
+    Construction builds the model session from ``config`` — the
+    expensive, amortized-once part — and prepares the batcher and worker
+    pool.  A prebuilt ``session`` (tests share one) must have been built
+    from an equal config; any other raises :class:`ValueError`.
     :meth:`start` spawns the workers and the HTTP listener;
     :meth:`shutdown` reverses everything and joins all threads.
     """
@@ -50,17 +51,21 @@ class InferenceServer:
     def __init__(
         self,
         config: ServeConfig | None = None,
-        sessions: SessionManager | None = None,
+        session: ModelSession | None = None,
         verbose: bool = False,
     ):
         self.config = config or ServeConfig()
-        self.sessions = sessions or SessionManager()
+        if session is not None and session.config != self.config:
+            raise ValueError(
+                f"session was built from {session.config}, "
+                f"not the server's {self.config}"
+            )
         self.verbose = verbose
         self.metrics = MetricsRegistry()
 
         # The session validates request shapes, describes itself on
         # /healthz, and its engine becomes worker 0.
-        self.session: ModelSession = self.sessions.get_or_create(self.config)
+        self.session: ModelSession = session or ModelSession(self.config)
         # Drift monitor baseline: the front-end session calibrated at
         # build, so its engine records hold the calibration-set per-layer
         # sensitive ratios the paper's scheme anchored on.
@@ -176,7 +181,7 @@ class InferenceServer:
 
     def render_stats(self) -> str:
         """Plain-text operator view: metrics tables + workers + session."""
-        parts = [self.metrics.render(title=f"repro.serve — {self.session.key}")]
+        parts = [self.metrics.render(title=f"repro.serve — {self.session.label()}")]
         worker_rows = [
             [s["name"], s["batches"], s["images"], s["errors"], s["busy_seconds"]]
             for s in self.pool.stats()

@@ -7,10 +7,8 @@ every invocation.  A :class:`ModelSession` does that expensive work once
 freeze/pre-pack the DoReFa bit-plane weights — and then hands out
 ready-to-run engines for the lifetime of the process.
 
-:class:`SessionManager` caches sessions keyed by
-``(model, scheme, threshold)`` so a server hosting several configurations
-pays each build exactly once, even under concurrent first requests
-(per-key build locks).
+Each :class:`~repro.serve.server.InferenceServer` owns exactly one
+session, built from its own :class:`~repro.serve.config.ServeConfig`.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from repro.analysis.workbench import scale_from_env
 from repro.core.pipeline import QuantizedInferenceEngine
-from repro.core.schemes import DEFAULT_SERVE_THRESHOLD, Scheme, build_scheme
+from repro.core.schemes import DEFAULT_SERVE_THRESHOLD, build_scheme
 from repro.data.synthetic import (
     Dataset,
     synthetic_cifar10,
@@ -38,30 +36,6 @@ from repro.obs.log import get_logger
 from repro.serve.config import ServeConfig
 
 _log = get_logger("repro.serve.session")
-
-
-@dataclass(frozen=True)
-class SessionKey:
-    """Cache key: one session per (model, scheme, threshold, exec_path)."""
-
-    model: str
-    scheme: str
-    threshold: float
-    exec_path: str = "auto"
-
-    @classmethod
-    def from_config(cls, config: ServeConfig) -> "SessionKey":
-        theta = (
-            DEFAULT_SERVE_THRESHOLD
-            if config.threshold is None
-            else float(config.threshold)
-        )
-        return cls(
-            config.model.lower(),
-            config.scheme.lower(),
-            theta,
-            getattr(config, "exec_path", "auto"),
-        )
 
 
 def _build_dataset(config: ServeConfig) -> Dataset:
@@ -112,22 +86,27 @@ class ModelSession:
     thread-confined workers, and :attr:`engine` is the primary instance.
     """
 
-    def __init__(self, config: ServeConfig, scheme: Scheme | None = None):
+    def __init__(self, config: ServeConfig):
         t0 = time.perf_counter()
         self.config = config
-        self.key = SessionKey.from_config(config)
-        self.scheme = scheme or build_scheme(
-            config.scheme, self.key.threshold, exec_path=self.key.exec_path
+        #: The sensitivity threshold in force: ``config.threshold``, or
+        #: :data:`DEFAULT_SERVE_THRESHOLD` when that is ``None``.
+        self.threshold: float = (
+            DEFAULT_SERVE_THRESHOLD
+            if config.threshold is None
+            else float(config.threshold)
         )
-        with trace.span(
-            "serve.session_build", model=self.key.model, scheme=self.key.scheme
-        ):
+        self.scheme = build_scheme(
+            config.scheme, self.threshold, exec_path=config.exec_path
+        )
+        model, scheme_name = config.model.lower(), config.scheme.lower()
+        with trace.span("serve.session_build", model=model, scheme=scheme_name):
             self._build(config, t0)
         _log.info(
             "session_built",
-            model=self.key.model,
-            scheme=self.key.scheme,
-            threshold=self.key.threshold,
+            model=model,
+            scheme=scheme_name,
+            threshold=self.threshold,
             build_seconds=round(self.stats.build_seconds, 3),
             layers=len(self.engine.executors),
         )
@@ -223,12 +202,20 @@ class ModelSession:
 
     # -- introspection ------------------------------------------------------
 
+    def label(self) -> str:
+        """``model=… scheme=… threshold=… exec_path=…`` for report headers."""
+        return (
+            f"model={self.config.model.lower()} "
+            f"scheme={self.config.scheme.lower()} "
+            f"threshold={self.threshold} exec_path={self.config.exec_path}"
+        )
+
     def describe(self) -> dict:
         """JSON-safe session summary (surfaced by ``/healthz``)."""
         return {
-            "model": self.key.model,
-            "scheme": self.key.scheme,
-            "threshold": self.key.threshold,
+            "model": self.config.model.lower(),
+            "scheme": self.config.scheme.lower(),
+            "threshold": self.threshold,
             "input_shape": list(self.input_shape),
             "num_classes": self.num_classes,
             "quantized_layers": len(self.engine.executors),
@@ -244,63 +231,4 @@ class ModelSession:
         }
 
 
-class SessionManager:
-    """Process-wide cache of :class:`ModelSession` objects.
-
-    ``get_or_create`` is safe under concurrent first requests: a per-key
-    build lock ensures exactly one thread pays the build while others for
-    the same key wait, and builds for *different* keys proceed in
-    parallel.
-    """
-
-    def __init__(self):
-        self._sessions: dict[SessionKey, ModelSession] = {}
-        self._registry_lock = threading.Lock()
-        self._build_locks: dict[SessionKey, threading.Lock] = {}
-        self.builds = 0  #: number of actual (non-cached) builds performed
-        self.hits = 0    #: number of cache hits served
-
-    def _lock_for(self, key: SessionKey) -> threading.Lock:
-        with self._registry_lock:
-            if key not in self._build_locks:
-                self._build_locks[key] = threading.Lock()
-            return self._build_locks[key]
-
-    def get_or_create(self, config: ServeConfig) -> ModelSession:
-        key = SessionKey.from_config(config)
-        with self._registry_lock:
-            session = self._sessions.get(key)
-            if session is not None:
-                self.hits += 1
-                return session
-        with self._lock_for(key):
-            # Double-checked: another thread may have built while we waited.
-            with self._registry_lock:
-                session = self._sessions.get(key)
-                if session is not None:
-                    self.hits += 1
-                    return session
-            session = ModelSession(config)
-            with self._registry_lock:
-                self._sessions[key] = session
-                self.builds += 1
-            return session
-
-    def get(self, key: SessionKey) -> ModelSession | None:
-        with self._registry_lock:
-            return self._sessions.get(key)
-
-    def __len__(self) -> int:
-        with self._registry_lock:
-            return len(self._sessions)
-
-    def keys(self) -> list[SessionKey]:
-        with self._registry_lock:
-            return list(self._sessions)
-
-    def clear(self) -> None:
-        with self._registry_lock:
-            self._sessions.clear()
-
-
-__all__ = ["SessionKey", "SessionStats", "ModelSession", "SessionManager"]
+__all__ = ["SessionStats", "ModelSession"]

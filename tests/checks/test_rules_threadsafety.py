@@ -153,79 +153,3 @@ class TestTHR203PoolForkSafety:
             return [pool.submit(t) for t in tasks]
         """
         assert scan(src) == []
-
-
-class TestTHR204SharedMemoryLifecycle:
-    def test_bare_acquisition_flagged(self):
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def leak():
-            shm = SharedMemory(create=True, size=64)
-            return shm.buf
-        """
-        findings = scan(src)
-        assert rules_of(findings) == ["THR204"]
-        assert "close()" in findings[0].message
-
-    def test_try_finally_close_is_clean(self):
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def use():
-            shm = SharedMemory(create=True, size=64)
-            try:
-                work(shm.buf)
-            finally:
-                shm.close()
-                shm.unlink()
-        """
-        assert scan(src) == []
-
-    def test_with_block_is_clean(self):
-        # contextlib.closing (or any with wrapping the call) is the
-        # canonical scoped form.
-        src = """
-        from contextlib import closing
-        from multiprocessing.shared_memory import SharedMemory
-
-        def use():
-            with closing(SharedMemory(create=True, size=64)) as shm:
-                work(shm.buf)
-        """
-        assert scan(src) == []
-
-    def test_close_owning_class_is_clean(self):
-        # The resource-owner pattern: the attribute's class exposes the
-        # close() that releases the segment.
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        class Segment:
-            def __init__(self, size):
-                self._shm = SharedMemory(create=True, size=size)
-
-            def close(self):
-                self._shm.close()
-        """
-        assert scan(src) == []
-
-    def test_class_without_close_still_flagged(self):
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        class Holder:
-            def __init__(self, size):
-                self._shm = SharedMemory(create=True, size=size)
-        """
-        assert rules_of(scan(src)) == ["THR204"]
-
-    def test_noqa_suppresses(self):
-        src = """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def probe(name):
-            shm = SharedMemory(name=name)  # repro: noqa[THR204] — closed by caller
-            return shm
-        """
-        assert scan(src) == []

@@ -140,16 +140,6 @@ class TestLayers:
         assert isinstance(seq[0], ReLU)
         assert len(list(iter(seq))) == 2
 
-    def test_bn_fold_affine_matches_eval_forward(self, rng):
-        bn = BatchNorm2d(3)
-        for _ in range(10):
-            bn(Tensor(rng.normal(size=(8, 3, 4, 4)) * 2 + 1))
-        bn.eval()
-        x = rng.normal(size=(2, 3, 4, 4))
-        scale, shift = bn.fold_affine()
-        expected = x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
-        np.testing.assert_allclose(bn(Tensor(x)).data, expected, atol=1e-10)
-
 
 class TestSwapModules:
     def test_swaps_nested_and_list_children(self):

@@ -1,7 +1,7 @@
 """Shared serving fixtures: one fast LeNet/ODQ session for the module.
 
 Session builds skip training (``train_epochs=0``) — serving tests verify
-plumbing (caching, batching, threading, HTTP), not accuracy, so
+plumbing (batching, threading, HTTP), not accuracy, so
 random-init weights keep the whole tree in seconds.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.config import ServeConfig
-from repro.serve.session import ModelSession, SessionManager
+from repro.serve.session import ModelSession
 
 
 @pytest.fixture(scope="session")
@@ -30,10 +30,3 @@ def serve_config() -> ServeConfig:
 @pytest.fixture(scope="session")
 def session(serve_config) -> ModelSession:
     return ModelSession(serve_config)
-
-
-@pytest.fixture(scope="session")
-def manager(serve_config) -> SessionManager:
-    mgr = SessionManager()
-    mgr.get_or_create(serve_config)
-    return mgr

@@ -12,8 +12,8 @@ from repro.serve.server import InferenceServer
 
 
 @pytest.fixture(scope="module")
-def server(manager, serve_config):
-    srv = InferenceServer(serve_config, sessions=manager)
+def server(session, serve_config):
+    srv = InferenceServer(serve_config, session=session)
     srv.start()
     yield srv
     srv.shutdown()
@@ -62,9 +62,9 @@ class TestDraining:
 
 class TestShutdownOrdering:
     def test_shutdown_flags_draining_and_is_idempotent(
-        self, manager, serve_config
+        self, session, serve_config
     ):
-        srv = InferenceServer(serve_config, sessions=manager)
+        srv = InferenceServer(serve_config, session=session)
         srv.start()
         assert srv.draining is False
         srv.shutdown()

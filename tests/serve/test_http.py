@@ -5,6 +5,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ def _post(url: str, payload: dict):
 
 
 @pytest.fixture(scope="module")
-def server(manager, serve_config):
-    srv = InferenceServer(serve_config, sessions=manager)
+def server(session, serve_config):
+    srv = InferenceServer(serve_config, session=session)
     srv.start()
     yield srv
     srv.shutdown()
@@ -69,12 +70,12 @@ class TestEndpoints:
         expected = server.session.engine.infer(x)
         np.testing.assert_allclose(np.asarray(resp["logits"]), expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("session", ["tenant-A", 7, None, {"id": 1}, [1, 2]])
-    def test_session_key_is_ignored(self, server, session):
+    @pytest.mark.parametrize("key", ["tenant-A", 7, None, {"id": 1}, [1, 2]])
+    def test_session_key_is_ignored(self, server, key):
         body = {"input": server.session.sample_inputs[0].tolist(),
                 "return_logits": True}
         plain = _post(server.url + "/predict", body)
-        keyed = _post(server.url + "/predict", {**body, "session": session})
+        keyed = _post(server.url + "/predict", {**body, "session": key})
         assert keyed["logits"] == plain["logits"]
 
     def test_metrics_exposes_required_series(self, server):
@@ -126,14 +127,20 @@ class TestErrors:
 
 
 class TestLifecycle:
-    def test_port_zero_binds_real_port(self, manager, serve_config):
-        with InferenceServer(serve_config, sessions=manager) as srv:
+    def test_session_from_another_config_is_rejected(self, session, serve_config):
+        # A session built with another seed has other weights: serving
+        # it under this config would answer for a model nobody asked for.
+        with pytest.raises(ValueError, match="session was built from"):
+            InferenceServer(replace(serve_config, seed=7), session=session)
+
+    def test_port_zero_binds_real_port(self, session, serve_config):
+        with InferenceServer(serve_config, session=session) as srv:
             assert srv.port > 0
             assert _get(srv.url + "/healthz")["status"] == "ok"
 
-    def test_clean_shutdown_no_leaked_threads(self, manager, serve_config):
+    def test_clean_shutdown_no_leaked_threads(self, session, serve_config):
         before = set(threading.enumerate())
-        srv = InferenceServer(serve_config, sessions=manager)
+        srv = InferenceServer(serve_config, session=session)
         srv.start()
         _post(srv.url + "/predict",
               {"input": srv.session.sample_inputs[0].tolist()})
@@ -147,8 +154,8 @@ class TestLifecycle:
         ]
         assert leaked == []
 
-    def test_shutdown_refuses_new_predicts(self, manager, serve_config):
-        srv = InferenceServer(serve_config, sessions=manager)
+    def test_shutdown_refuses_new_predicts(self, session, serve_config):
+        srv = InferenceServer(serve_config, session=session)
         srv.start()
         url = srv.url
         srv.shutdown()

@@ -19,8 +19,8 @@ from repro.serve.server import InferenceServer
 
 
 @pytest.fixture(scope="module")
-def server(manager, serve_config):
-    srv = InferenceServer(serve_config, sessions=manager)
+def server(session, serve_config):
+    srv = InferenceServer(serve_config, session=session)
     srv.start()
     yield srv
     srv.shutdown()

@@ -19,8 +19,8 @@ def _fetch(url: str, accept: str | None = None):
 
 
 @pytest.fixture(scope="module")
-def server(manager, serve_config):
-    srv = InferenceServer(serve_config, sessions=manager)
+def server(session, serve_config):
+    srv = InferenceServer(serve_config, session=session)
     srv.start()
     # Push one request through so counters are non-trivial.
     payload = json.dumps(

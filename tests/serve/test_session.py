@@ -1,4 +1,4 @@
-"""Session building, the (model, scheme, threshold) cache, engine cloning."""
+"""Session building, threshold resolution, engine cloning."""
 
 import threading
 
@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 
 from repro.serve.config import ServeConfig
-from repro.serve.session import ModelSession, SessionKey, SessionManager
-
-
-class TestSessionKey:
-    def test_defaults_threshold_when_unset(self):
-        key = SessionKey.from_config(ServeConfig(model="LeNet", threshold=None))
-        assert key.model == "lenet"
-        assert key.threshold > 0
-
-    def test_distinct_thresholds_distinct_keys(self):
-        a = SessionKey.from_config(ServeConfig(threshold=0.1))
-        b = SessionKey.from_config(ServeConfig(threshold=0.2))
-        assert a != b
+from repro.core.schemes import DEFAULT_SERVE_THRESHOLD
+from repro.serve.session import ModelSession
 
 
 class TestModelSession:
@@ -50,6 +39,15 @@ class TestModelSession:
         assert desc["scheme"] == "odq"
         assert tuple(desc["input_shape"]) == session.input_shape
 
+    def test_unset_threshold_resolves_to_serve_default(self, session):
+        assert session.config.threshold is None
+        assert session.threshold == DEFAULT_SERVE_THRESHOLD
+        assert session.describe()["threshold"] == DEFAULT_SERVE_THRESHOLD
+        assert session.label() == (
+            f"model=lenet scheme=odq threshold={DEFAULT_SERVE_THRESHOLD} "
+            "exec_path=auto"
+        )
+
     def test_unknown_dataset_rejected(self):
         with pytest.raises(KeyError):
             ModelSession(ServeConfig(dataset="imagenet"))
@@ -78,46 +76,3 @@ class TestEngineCloning:
     def test_engines_for_workers_rejects_zero(self, session):
         with pytest.raises(ValueError):
             session.engines_for_workers(0)
-
-
-class TestSessionManager:
-    def test_same_key_hits_cache(self, serve_config):
-        mgr = SessionManager()
-        a = mgr.get_or_create(serve_config)
-        b = mgr.get_or_create(serve_config)
-        assert a is b
-        assert mgr.builds == 1 and mgr.hits == 1
-        assert len(mgr) == 1
-
-    def test_different_threshold_builds_new_session(self, serve_config):
-        mgr = SessionManager()
-        a = mgr.get_or_create(serve_config)
-        from dataclasses import replace
-
-        b = mgr.get_or_create(replace(serve_config, threshold=0.9))
-        assert a is not b
-        assert mgr.builds == 2
-        assert len(mgr) == 2
-
-    def test_concurrent_first_requests_build_once(self, serve_config):
-        mgr = SessionManager()
-        results = []
-        barrier = threading.Barrier(4)
-
-        def hit():
-            barrier.wait()
-            results.append(mgr.get_or_create(serve_config))
-
-        threads = [threading.Thread(target=hit) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert mgr.builds == 1
-        assert len({id(s) for s in results}) == 1
-
-    def test_clear(self, serve_config):
-        mgr = SessionManager()
-        mgr.get_or_create(serve_config)
-        mgr.clear()
-        assert len(mgr) == 0

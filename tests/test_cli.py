@@ -22,7 +22,7 @@ class TestDispatchTable:
 
     def test_serve_commands_registered(self):
         assert "serve" in HANDLERS
-        assert "bench-serve" in HANDLERS
+        assert "bench-serve" not in HANDLERS
 
     def test_handlers_are_callable(self):
         assert all(callable(h) for h in HANDLERS.values())
@@ -35,9 +35,12 @@ class TestExitCodes:
         assert "usage:" in err
         assert "command is required" in err
 
-    def test_unknown_command_exits_2(self, capsys):
+    @pytest.mark.parametrize(
+        "command", ["definitely-not-a-command", "bench-serve"]
+    )
+    def test_unknown_command_exits_2(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["definitely-not-a-command"])
+            main([command])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -63,15 +66,6 @@ class TestServeArgs:
         assert args.model == "lenet"
         assert args.scheme == "odq"
         assert args.workers >= 1
-
-    def test_bench_serve_accepts_tuning_flags(self):
-        args = build_parser().parse_args(
-            ["bench-serve", "--model", "lenet", "--scheme", "int8",
-             "--max-batch-size", "16", "--requests", "8",
-             "--naive-requests", "2", "--workers", "1"]
-        )
-        assert args.max_batch_size == 16
-        assert args.requests == 8
 
     def test_serve_config_round_trip(self):
         from repro.__main__ import _serve_config_from_args
