@@ -19,8 +19,13 @@ Package layout
 ``repro.analysis``
     Drivers that regenerate every table and figure of the paper.
 ``repro.serve``
-    Production serving: session cache, dynamic micro-batching, engine
-    worker pool, metrics, and a stdlib HTTP front end (``docs/serving.md``).
+    Production serving: one model session per server, dynamic
+    micro-batching, engine worker pool, metrics, and a stdlib HTTP front
+    end (``docs/serving.md``).
+
+Importing ``repro`` loads only this module and :mod:`repro.config`;
+import a subpackage by name to use it (``python -m repro serve`` never
+loads the analysis drivers or the accelerator model).
 
 Quickstart
 ----------
@@ -34,7 +39,6 @@ Quickstart
 ...                           ds.x_train[:64], ds.x_test, ds.y_test)
 """
 
-from repro import accel, analysis, core, data, models, nn, quant, serve, utils
 from repro.config import (
     ACCEL_DRQ,
     ACCEL_INT8,
@@ -48,15 +52,6 @@ from repro.config import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "accel",
-    "analysis",
-    "core",
-    "data",
-    "models",
-    "nn",
-    "quant",
-    "serve",
-    "utils",
     "ACCEL_DRQ",
     "ACCEL_INT8",
     "ACCEL_INT16",

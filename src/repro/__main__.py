@@ -40,8 +40,7 @@ from repro.obs.log import console
 
 def _cmd_info(_args) -> int:
     import repro
-    from repro.analysis.workbench import scale_from_env
-    from repro.config import PAPER_THRESHOLDS
+    from repro.config import PAPER_THRESHOLDS, scale_from_env
 
     console(f"repro {repro.__version__} — ODQ (ICPP 2023) reproduction")
     console(f"experiment scale: {scale_from_env()}")
@@ -218,7 +217,7 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--drift-band", type=float, default=0.15,
                         help="sensitivity-drift alert band: warn when a "
                              "layer's EWMA sensitive-ratio departs its "
-                             "calibration baseline by more than this")
+                             "warm-up baseline by more than this")
 
 
 def _cmd_serve(args) -> int:

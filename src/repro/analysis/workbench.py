@@ -9,12 +9,11 @@ lifetime, so the per-figure benches stay cheap and mutually consistent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import DEFAULT_SEED, ExperimentScale
+from repro.config import DEFAULT_SEED, ExperimentScale, scale_from_env
 from repro.core.schemes import odq_scheme
 from repro.core.odq_qat import finetune_odq
 from repro.core.threshold import adaptive_threshold_search
@@ -28,14 +27,6 @@ from repro.models.registry import build_model
 from repro.nn.layers import Module
 from repro.nn.optim import SGD, CosineLR
 from repro.nn.trainer import Trainer, TrainHistory
-
-
-def scale_from_env() -> ExperimentScale:
-    """Pick the experiment scale from ``REPRO_SCALE`` (small|default)."""
-    mode = os.environ.get("REPRO_SCALE", "small").lower()
-    if mode == "default":
-        return ExperimentScale.default()
-    return ExperimentScale.small()
 
 
 @dataclass

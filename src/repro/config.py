@@ -8,6 +8,7 @@ annotated with the table/figure/section they appear in.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,14 @@ class ExperimentScale:
         return cls()
 
 
+def scale_from_env() -> ExperimentScale:
+    """Pick the experiment scale from ``REPRO_SCALE`` (small|default)."""
+    mode = os.environ.get("REPRO_SCALE", "small").lower()
+    if mode == "default":
+        return ExperimentScale.default()
+    return ExperimentScale.small()
+
+
 __all__ = [
     "DEFAULT_SEED",
     "ODQ_TOTAL_BITS",
@@ -172,4 +181,5 @@ __all__ = [
     "PES_PER_ARRAY",
     "PAPER_THRESHOLDS",
     "ExperimentScale",
+    "scale_from_env",
 ]

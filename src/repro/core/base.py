@@ -114,6 +114,13 @@ class ConvExecutor:
 
     # -- life cycle --------------------------------------------------------
 
+    @property
+    def reads_calibration(self) -> bool:
+        """True when :meth:`calibrate` observes its input (observers,
+        ranges, output statistics).  An engine whose executors all say
+        False freezes without running a calibration forward pass."""
+        return False
+
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         """Observe input statistics; returns the FP32 output by default."""
         return self.reference_forward(x)

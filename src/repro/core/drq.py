@@ -71,6 +71,8 @@ class DRQConvExecutor(ConvExecutor):
         when given (mirrors DRQ's learned threshold).
     """
 
+    reads_calibration = True
+
     def __init__(
         self,
         conv: Conv2d,

@@ -427,6 +427,12 @@ class ODQConvExecutor(ConvExecutor):
 
     # -- calibration -------------------------------------------------------------
 
+    @property
+    def reads_calibration(self) -> bool:
+        """Only scaled mode reads calibration data (the output std);
+        activation qparams come from each call's own range."""
+        return self.threshold_mode == "scaled"
+
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         out = self.reference_forward(x)
         if self.threshold_mode == "scaled":

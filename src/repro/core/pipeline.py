@@ -205,7 +205,12 @@ class QuantizedInferenceEngine:
     # -- calibration ---------------------------------------------------------------
 
     def calibrate(self, x: np.ndarray, batch_size: int = 128) -> None:
-        """Run FP forward passes to collect ranges, then freeze qparams.
+        """Observe ``x`` where a scheme needs it, then freeze qparams.
+
+        The FP forward passes over ``x`` run only when some executor's
+        ``reads_calibration`` is true (static INT, DRQ, scaled-mode ODQ).
+        Absolute-mode ODQ reads nothing from them — its activation qparams
+        come from each call's own range — so it only freezes its weights.
 
         Safe to call again later (recalibration): observers accumulate the
         new ranges and ``freeze`` recomputes quantization parameters.  The
@@ -217,10 +222,11 @@ class QuantizedInferenceEngine:
             "engine.calibrate", images=len(x), scheme=self.scheme.name
         ):
             self.mode = "calibrate"
-            self.model.eval()
-            with no_grad():
-                for start in range(0, len(x), batch_size):
-                    self.model(Tensor(x[start : start + batch_size]))
+            if any(ex.reads_calibration for ex in self.executors.values()):
+                self.model.eval()
+                with no_grad():
+                    for start in range(0, len(x), batch_size):
+                        self.model(Tensor(x[start : start + batch_size]))
             for executor in self.executors.values():
                 executor.freeze()
             # Re-freezing replaces packed operands and qparams; compiled

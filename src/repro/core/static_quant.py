@@ -34,6 +34,8 @@ class StaticQuantConvExecutor(ConvExecutor):
     an actual integer accelerator datapath, not just fake-quant).
     """
 
+    reads_calibration = True
+
     def __init__(
         self,
         conv: Conv2d,

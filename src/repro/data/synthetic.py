@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import new_rng
 
@@ -43,6 +42,31 @@ class Dataset:
         return tuple(self.x_train.shape[1:])
 
 
+def _gaussian_blur(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Blur each channel plane of a (C, H, W) field with a Gaussian.
+
+    Bit-identical to ``scipy.ndimage.gaussian_filter(field, sigma=(0,
+    sigma, sigma))`` in float64: the same kernel (truncated at 4 sigma,
+    normalised, reversed), reflect padding, H filtered before W, and each
+    output summed in the order of scipy's symmetric ``correlate1d`` loop
+    (centre tap first, then the pairs of taps from the outermost inwards).
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    # The centre tap is exp(0) == 1, so the guard never changes the sum.
+    w = (phi / max(phi.sum(), 1.0))[::-1]
+    for axis in (1, 2):
+        a = np.moveaxis(field, axis, -1)
+        n = a.shape[-1]
+        p = np.pad(a, [(0, 0), (0, 0), (r, r)], mode="symmetric")
+        out = p[..., r : r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (p[..., r - j : r - j + n] + p[..., r + j : r + j + n]) * w[r - j]
+        field = np.moveaxis(out, -1, axis)
+    return field
+
+
 def _class_prototypes(
     num_classes: int, channels: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -56,7 +80,7 @@ def _class_prototypes(
     yy, xx = np.mgrid[0:size, 0:size] / max(size - 1, 1)
     for c in range(num_classes):
         field = rng.normal(size=(channels, size, size))
-        field = ndimage.gaussian_filter(field, sigma=(0, size / 8, size / 8))
+        field = _gaussian_blur(field, size / 8)
         field = (field - field.min()) / max(np.ptp(field), 1e-9)
         angle = np.pi * c / num_classes
         freq = 2.0 + 3.0 * ((c * 7919) % num_classes) / max(num_classes, 1)

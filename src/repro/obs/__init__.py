@@ -12,7 +12,7 @@ The observability subsystem for the ODQ reproduction:
 * :mod:`repro.obs.exporters` — JSONL, Chrome trace-event JSON,
   Prometheus text exposition, ASCII rollup;
 * :mod:`repro.obs.drift` — EWMA drift monitor for per-layer sensitivity
-  vs the calibration baseline (imported lazily by the serving tier);
+  vs the warm-up baseline (imported lazily by the serving tier);
 * :mod:`repro.obs.profile` — per-layer per-phase profiling behind
   ``repro profile`` (imported lazily; not re-exported here to keep
   ``repro.core`` → ``repro.obs`` import edges acyclic).

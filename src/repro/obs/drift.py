@@ -1,16 +1,17 @@
 """Quantization drift monitor over the serving workers' layer samples.
 
-The paper's output-directed scheme fixes, at calibration time, which
-outputs are *sensitive* (dense-path) per layer; the serving engines then
-re-measure that ratio on live traffic.  When the live distribution
-drifts from the calibration distribution, the calibrated sensitivity
-thresholds stop being representative — accuracy and the dense/sparse
+The paper's output-directed scheme fixes one threshold per model, which
+decides the share of *sensitive* (dense-path) outputs per layer; the
+serving engines re-measure that ratio on live traffic.  When the live
+distribution drifts from the one the threshold was chosen on, the
+threshold stops being representative — accuracy and the dense/sparse
 cost model both degrade silently.
 
 :class:`DriftMonitor` watches the per-layer samples the thread-pool
 workers publish after each batch: it keeps an EWMA of each layer's
 ``sensitive_ratio`` and of its exec-path mix (sparse-path fraction of
-dispatch calls), compares them against the calibration baseline, and
+dispatch calls), compares them against a baseline (the serving
+session's warm-up ratios on held-out images), and
 
 * publishes ``drift_sensitive_ratio:<layer>`` / ``drift_delta:<layer>``
   / ``drift_sparse_frac:<layer>`` / ``drift_alert:<layer>`` gauges on
@@ -43,7 +44,7 @@ class DriftMonitor:
     Parameters
     ----------
     baseline:
-        ``{layer: calibration sensitive_ratio}``.  Layers that appear in
+        ``{layer: reference sensitive_ratio}``.  Layers that appear in
         samples but not here adopt their *first observed* ratio as
         baseline (self-anchoring), so partially calibrated engines still
         get drift coverage.
@@ -137,7 +138,7 @@ class DriftMonitor:
         ).set(ewma)
         self.metrics.gauge(
             f"drift_delta:{layer}",
-            "EWMA sensitive ratio minus calibration baseline",
+            "EWMA sensitive ratio minus its warm-up baseline",
         ).set(ewma - base)
         self.metrics.gauge(
             f"drift_alert:{layer}",
@@ -188,11 +189,11 @@ def _sparse_fraction(path_calls: dict | None) -> float | None:
 
 
 def baseline_from_engine(engine) -> dict[str, float]:
-    """Calibration baseline from an engine's layer records.
+    """Drift baseline from an engine's layer records.
 
-    Taken right after calibration (``ModelSession`` calibrates at
-    build), each layer's ``sensitive_total / outputs_total`` is the
-    calibration-set sensitive ratio the paper's scheme anchored on.
+    Each layer that has seen outputs contributes ``sensitive_total /
+    outputs_total``.  ``ModelSession`` takes it from the records of its
+    warm-up inference on held-out images.
     """
     baseline: dict[str, float] = {}
     for name, rec in getattr(engine, "records", {}).items():

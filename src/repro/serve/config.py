@@ -39,7 +39,10 @@ class ServeConfig:
         training entirely (random-init weights) — the right choice for
         latency/throughput tests where accuracy is irrelevant.
     calib_images:
-        Number of calibration images sampled from the dataset.
+        Number of calibration images sampled from the dataset.  Read
+        only by schemes whose executors observe calibration data
+        (``int*``, ``drq*``, and ODQ in scaled mode); the serve default
+        (absolute-threshold ODQ) freezes without a calibration pass.
     exec_path:
         ODQ result-generation path (``auto | dense | sparse``; see
         :mod:`repro.core.odq`).  Ignored by non-ODQ schemes.
@@ -74,7 +77,7 @@ class ServeConfig:
     drift_band:
         Alert band for the sensitivity drift monitor
         (:mod:`repro.obs.drift`): a layer whose EWMA sensitive ratio
-        moves more than this from its calibration baseline flips its
+        moves more than this from its warm-up baseline flips its
         ``drift_alert`` gauge and logs a warning.
     """
 

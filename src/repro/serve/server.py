@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 
-from repro.obs.drift import DriftMonitor, baseline_from_engine
+from repro.obs.drift import DriftMonitor
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.http import ServingHTTPServer
@@ -66,11 +66,11 @@ class InferenceServer:
         # The session validates request shapes, describes itself on
         # /healthz, and its engine becomes worker 0.
         self.session: ModelSession = session or ModelSession(self.config)
-        # Drift monitor baseline: the front-end session calibrated at
-        # build, so its engine records hold the calibration-set per-layer
-        # sensitive ratios the paper's scheme anchored on.
+        # Drift baseline: the per-layer sensitive ratios of the session's
+        # warm-up inference on held-out images at the dataset's own
+        # brightness, so dim or bright traffic shows as drift.
         self.drift = DriftMonitor(
-            baseline=baseline_from_engine(self.session.engine),
+            baseline=self.session.baseline,
             band=self.config.drift_band,
             metrics=self.metrics,
         )

@@ -3,9 +3,10 @@
 The one-shot scripts rebuild a model, recalibrate, and re-quantize on
 every invocation.  A :class:`ModelSession` does that expensive work once
 — synthesize data, (optionally) train, install a
-:class:`~repro.core.pipeline.QuantizedInferenceEngine`, calibrate it, and
-freeze/pre-pack the DoReFa bit-plane weights — and then hands out
-ready-to-run engines for the lifetime of the process.
+:class:`~repro.core.pipeline.QuantizedInferenceEngine`, calibrate it
+(freezing/pre-packing the DoReFa bit-plane weights), and run one warm-up
+inference — and then hands out ready-to-run engines for the lifetime of
+the process.
 
 Each :class:`~repro.serve.server.InferenceServer` owns exactly one
 session, built from its own :class:`~repro.serve.config.ServeConfig`.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.workbench import scale_from_env
+from repro.config import scale_from_env
 from repro.core.pipeline import QuantizedInferenceEngine
 from repro.core.schemes import DEFAULT_SERVE_THRESHOLD, build_scheme
 from repro.data.synthetic import (
@@ -32,6 +33,7 @@ from repro.models.registry import build_model
 from repro.nn.optim import SGD
 from repro.nn.trainer import Trainer
 from repro.obs import trace
+from repro.obs.drift import baseline_from_engine
 from repro.obs.log import get_logger
 from repro.serve.config import ServeConfig
 
@@ -78,9 +80,15 @@ class ModelSession:
     1. synthesize the dataset and build the model (optionally training it
        for ``config.train_epochs`` epochs);
     2. install the quantization scheme's instrumented executors;
-    3. calibrate on ``config.calib_images`` images and freeze — freezing
-       pre-quantizes the weights and pre-packs their DoReFa bit planes
-       (``W_HBS``) so serving never touches FP weights again.
+    3. calibrate and freeze — freezing pre-quantizes the weights and
+       pre-packs their DoReFa bit planes (``W_HBS``) so serving never
+       touches FP weights again.  Only schemes whose executors observe
+       calibration data (``int*``, ``drq*``, scaled-mode ODQ) run a
+       forward pass over the ``config.calib_images`` images; the serve
+       default (absolute-threshold ODQ) reads none and just freezes;
+    4. run one warm-up inference on :attr:`sample_inputs` (compiling the
+       steady-state plan when plans are on); its per-layer sensitive
+       ratios become :attr:`baseline`, the drift monitor's reference.
 
     After that, :meth:`clone_engine` yields independent engines for
     thread-confined workers, and :attr:`engine` is the primary instance.
@@ -150,28 +158,26 @@ class ModelSession:
         self.engine = QuantizedInferenceEngine(self.model, self.scheme)
         self.engine.calibrate(calib)
         self.engine.use_plan = config.use_plan
-        plan_warmed = False
-        if config.use_plan:
-            self._warm_plan(config)
-            plan_warmed = True
+        #: ``{layer: sensitive ratio}`` of the warm-up inference.
+        self.baseline: dict[str, float] = self._warm_up(config)
 
         self.stats = SessionStats(
             build_seconds=time.perf_counter() - t0,
             train_epochs=config.train_epochs,
             calib_images=len(calib),
             packed_layers=sum(1 for ex in self.engine.executors.values() if ex.frozen),
-            plan_warmed=plan_warmed,
+            plan_warmed=config.use_plan,
         )
         self._clone_lock = threading.Lock()
 
-    def _warm_plan(self, config: ServeConfig) -> None:
-        """Compile the steady-state inference plan before serving starts.
+    def _warm_up(self, config: ServeConfig) -> dict[str, float]:
+        """One inference before serving starts; returns its sensitive ratios.
 
-        Specializes on the batcher's full coalesced batch shape
-        (``max_batch_size``), so the first loaded request doesn't pay the
-        compile.  The warm inference runs against scratch layer records:
-        the session's real records stay exactly as calibration left them
-        (they seed the drift-monitor baseline).
+        The batch is the batcher's full coalesced shape
+        (``max_batch_size``), so with plans on the first loaded request
+        doesn't pay the plan compile.  The inference runs against scratch
+        layer records, whose per-layer ratios are returned; the session's
+        real records are restored, so serving counters start at 0.
         """
         reps = -(-config.max_batch_size // len(self.sample_inputs))
         warm = np.concatenate([self.sample_inputs] * reps)[: config.max_batch_size]
@@ -179,8 +185,9 @@ class ModelSession:
         saved = {name: ex.record for name, ex in engine.executors.items()}
         try:
             engine.reset_records()
-            with trace.span("serve.plan_warm", batch=int(warm.shape[0])):
+            with trace.span("serve.warm_up", batch=int(warm.shape[0])):
                 engine.infer(warm)
+            return baseline_from_engine(engine)
         finally:
             for name, ex in engine.executors.items():
                 ex.record = saved[name]

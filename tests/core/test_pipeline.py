@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import InstrumentedConv, QuantizedInferenceEngine, run_scheme
 from repro.core.schemes import drq_scheme, fp32_scheme, odq_scheme, static_scheme
 from repro.models import resnet20
@@ -102,6 +103,54 @@ class TestCalibrationAndRun:
         engine.forward(x)
         for rec in engine.records.values():
             assert rec.extra["last_input"].ndim == 4
+        engine.restore()
+
+
+class TestCalibrationPass:
+    """The FP calibration pass runs only for executors that observe it."""
+
+    def test_absolute_odq_runs_no_calibration_pass(self, rng, monkeypatch):
+        calls = []
+        real = ODQConvExecutor.calibrate
+
+        def counting(ex, x):
+            calls.append(ex.info.name)
+            return real(ex, x)
+
+        monkeypatch.setattr(ODQConvExecutor, "calibrate", counting)
+        x = rng.uniform(0, 1, (6, 3, 16, 16))
+        engine = QuantizedInferenceEngine(
+            resnet20(scale=0.25, rng=np.random.default_rng(3)), odq_scheme(0.3)
+        )
+        engine.calibrate(x)
+        assert calls == []
+        assert engine.calibrated and engine.mode == "run"
+
+        monkeypatch.setattr(ODQConvExecutor, "reads_calibration", True)
+        forced = QuantizedInferenceEngine(
+            resnet20(scale=0.25, rng=np.random.default_rng(3)), odq_scheme(0.3)
+        )
+        forced.calibrate(x)
+        assert sorted(calls) == sorted(forced.executors)
+        for batch in (x[:1], x[:3], x, 0.35 * x):
+            np.testing.assert_array_equal(engine.infer(batch), forced.infer(batch))
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [odq_scheme(0.3, threshold_mode="scaled"), static_scheme(8), drq_scheme(8, 4)],
+        ids=["odq-scaled", "int8", "drq84"],
+    )
+    def test_observing_schemes_still_calibrate(self, model, rng, scheme):
+        engine = QuantizedInferenceEngine(model, scheme)
+        assert all(ex.reads_calibration for ex in engine.executors.values())
+        engine.calibrate(rng.uniform(0, 1, (6, 3, 16, 16)))
+        for ex in engine.executors.values():
+            if isinstance(ex, ODQConvExecutor):
+                assert ex.output_std is not None and ex.output_std > 0
+                assert len(ex._std_acc) == 1
+            else:
+                assert ex.observer.count > 0
+                assert ex.observer.lo <= ex.observer.hi
         engine.restore()
 
 

@@ -19,10 +19,15 @@ import numpy as np
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
-def _start_server(*extra_args):
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _start_server(*extra_args):
+    env = _env()
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--model", "lenet", "--scheme", "odq", "--port", "0", *extra_args],
@@ -78,3 +83,18 @@ def test_serve_cli_round_trip():
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+def test_serve_path_loads_only_the_serving_stack():
+    """``repro serve`` imports neither scipy nor the offline drivers."""
+    code = (
+        "import sys\n"
+        "import repro.__main__, repro.serve.server, repro.serve.session\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith(('repro.analysis', 'repro.accel'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_env(), timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout

@@ -1,12 +1,14 @@
 """Session building, threshold resolution, engine cloning."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.serve.config import ServeConfig
 from repro.core.schemes import DEFAULT_SERVE_THRESHOLD
+from repro.serve.server import InferenceServer
 from repro.serve.session import ModelSession
 
 
@@ -76,3 +78,22 @@ class TestEngineCloning:
     def test_engines_for_workers_rejects_zero(self, session):
         with pytest.raises(ValueError):
             session.engines_for_workers(0)
+
+
+class TestDriftBaseline:
+    @pytest.mark.parametrize("use_plan", [True, False])
+    def test_fresh_server_baseline_is_the_warm_up_ratio(self, serve_config, use_plan):
+        config = replace(serve_config, use_plan=use_plan)
+        server = InferenceServer(config)
+        session = server.session
+        # Serving counters start at zero: the warm-up ran on scratch records.
+        assert all(r.outputs_total == 0 for r in session.engine.records.values())
+
+        engine = session.clone_engine()
+        warm = np.resize(session.sample_inputs, (config.max_batch_size, *session.input_shape))
+        engine.infer(warm)
+        want = {n: r.sensitive_total / r.outputs_total for n, r in engine.records.items()}
+        assert set(want) == set(session.engine.executors)
+        assert any(want.values())
+        assert session.baseline == want
+        assert server.drift._baseline == want
