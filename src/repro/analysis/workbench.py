@@ -9,6 +9,7 @@ lifetime, so the per-figure benches stay cheap and mutually consistent.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,14 +193,16 @@ class Workbench:
 
 
 _GLOBAL_WORKBENCH: Workbench | None = None
+_GLOBAL_WORKBENCH_LOCK = threading.Lock()
 
 
 def global_workbench() -> Workbench:
     """Process-wide workbench shared by benchmarks and examples."""
     global _GLOBAL_WORKBENCH
-    if _GLOBAL_WORKBENCH is None:
-        _GLOBAL_WORKBENCH = Workbench()
-    return _GLOBAL_WORKBENCH
+    with _GLOBAL_WORKBENCH_LOCK:
+        if _GLOBAL_WORKBENCH is None:
+            _GLOBAL_WORKBENCH = Workbench()
+        return _GLOBAL_WORKBENCH
 
 
 __all__ = ["Workbench", "TrainedModel", "scale_from_env", "global_workbench"]

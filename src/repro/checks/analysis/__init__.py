@@ -1,8 +1,9 @@
-"""Whole-program analysis for :mod:`repro.checks` (``repro check --deep``).
+"""Whole-program analysis for :mod:`repro.checks` (every ``repro check``).
 
 The per-file rules in :mod:`repro.checks.rules` are deliberately
 syntactic — one AST at a time.  This subpackage adds the project-wide
-view needed for rules that are *about* cross-function behavior:
+view needed for rules that are *about* cross-function behavior, and
+drives both kinds:
 
 * :mod:`~repro.checks.analysis.summary` — per-module function summaries
   (writes, lock acquisitions, call sites, dtype bases), the only thing
@@ -13,11 +14,13 @@ view needed for rules that are *about* cross-function behavior:
   resolution over the summaries;
 * :mod:`~repro.checks.analysis.callgraph` — call edges, thread-root
   discovery, reachability, must-hold entry locksets;
-* :mod:`~repro.checks.analysis.lockset` — Eraser-style lockset reports
-  (THR210) and static lock-order-inversion detection (THR211);
+* :mod:`~repro.checks.analysis.lockset` — unlocked writes (THR201),
+  Eraser-style lockset reports (THR210) and static lock-order-inversion
+  detection (THR211);
 * :mod:`~repro.checks.analysis.dtypeflow` — the dtype-exactness lattice
   behind DTY110;
-* :mod:`~repro.checks.analysis.deep` — the driver gluing it together.
+* :mod:`~repro.checks.analysis.deep` — the driver: per-file rules, then
+  the whole-program ones.
 """
 
 from repro.checks.analysis.cache import DEFAULT_CACHE_DIR, SummaryCache

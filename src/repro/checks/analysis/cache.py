@@ -3,9 +3,10 @@
 Key = ``blake2b(source || analysis-version)``; value = the module's
 :class:`~repro.checks.analysis.summary.ModuleSummary` as JSON under
 ``.repro-check-cache/``.  Because the whole-program phase runs purely
-from summaries, a warm cache turns an incremental ``repro check --deep
---changed`` into: hash every file, load every summary from disk, re-run
-only the (cheap) graph phases — no re-parsing, no re-extraction.
+from summaries, a warm cache turns an incremental ``repro check
+--changed`` into: parse every file (for its suppression table), load
+every summary from disk, re-run only the (cheap) graph phases — no
+re-extraction.
 
 The cache is safe to delete at any time and safe to share between
 branches: keys are content hashes, so a stale entry can never be served

@@ -15,8 +15,8 @@ to be held on *every* resolved path into a function —
 ``entry(f) = ∩ over call sites (entry(caller) ∪ site locks)``, with
 thread roots and externally-callable functions (no resolved callers)
 pinned to ∅.  This is what lets THR210 accept a helper that mutates
-shared state with the lock taken one call up, and what retires THR201's
-same-function-only view in deep mode.
+shared state with the lock taken one call up, and what lets THR201
+accept the same helper.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.checks.analysis.project import FunctionRef, Project
+from repro.checks.analysis.project import Project
 
 
 @dataclass(frozen=True)
@@ -213,32 +213,6 @@ class CallGraph:
 
     def entry_lockset(self, fq: str) -> frozenset[str]:
         return self.entry_locks.get(fq, frozenset())
-
-    def ancestors_with_getpid(self, fq: str) -> bool:
-        """Does any (transitive) caller contain a getpid fork-guard?"""
-        stack = [fq]
-        visited: set[str] = set()
-        while stack:
-            cur = stack.pop()
-            if cur in visited:
-                continue
-            visited.add(cur)
-            for e in self.in_edges.get(cur, ()):
-                caller_ref = self._ref_for(e.caller)
-                if caller_ref is not None:
-                    fn = self.project.function(caller_ref)
-                    if fn is not None and fn.has_getpid:
-                        return True
-                stack.append(e.caller)
-        return False
-
-    def _ref_for(self, fq: str) -> FunctionRef | None:
-        for module in self.project.summaries:
-            if fq.startswith(module + "."):
-                qual = fq[len(module) + 1:]
-                if qual in self.project.summaries[module].functions:
-                    return FunctionRef(module, qual)
-        return None
 
 
 __all__ = ["CallGraph", "CallEdge", "ThreadRoot"]

@@ -1,26 +1,24 @@
-"""``repro check --deep`` — the whole-program analysis driver.
+"""The analysis driver behind every ``repro check``.
 
-One deep run =
+One run =
 
-1. **shallow pass** — the per-file rules over the requested files (in
-   ``--changed`` mode, just the changed subset), minus the rules a deep
-   successor supersedes (``DTY103`` -> ``DTY110``);
-2. **project build** — parse/summarize every file under the scan roots,
-   serving summaries from the content-addressed cache when the source is
-   unchanged;
-3. **deep pass** — call graph + thread roots, interprocedural locksets
-   (THR210/THR211), dtype-exactness flow (DTY110);
-4. **upgrades** — shallow THR201/THR203 findings are re-judged with
-   call-graph facts: a mutation that provably runs under a caller's lock,
-   or a pool creation guarded by a caller's PID probe, is dropped;
-5. **suppression** — deep findings obey the same physical-line
-   ``# repro: noqa[RULE] — why`` policy as shallow ones.
+1. **project build** — parse every file under the scan roots once and
+   summarize it, serving summaries from the content-addressed cache when
+   the source is unchanged;
+2. **per-file rules** — the syntactic rules over each parsed file (in
+   ``--changed`` mode, just the changed subset);
+3. **whole-program rules** — call graph + thread roots, unlocked writes
+   and interprocedural locksets (THR201/THR210/THR211), dtype-exactness
+   flow (DTY110), always over the whole tree;
+4. **suppression** — every finding obeys the same physical-line
+   ``# repro: noqa[RULE] — why`` policy.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.checks.analysis.cache import DEFAULT_CACHE_DIR, SummaryCache
 from repro.checks.analysis.callgraph import CallGraph
@@ -28,111 +26,83 @@ from repro.checks.analysis.dtypeflow import find_dtype_flow_violations
 from repro.checks.analysis.lockset import (
     find_inconsistent_locksets,
     find_lock_order_inversions,
-    upgrade_thr201,
-    upgrade_thr203,
+    find_unlocked_writes,
 )
 from repro.checks.analysis.project import Project
-from repro.checks.engine import run as run_shallow
-from repro.checks.engine import suppression_covers
+from repro.checks.engine import scan_context, suppression_covers, syntax_finding
 from repro.checks.findings import Finding
-from repro.checks.rules.deep import SUPERSEDED_BY_DEEP
+from repro.checks.registry import iter_rules
+
+#: Whole-program rule id -> the analysis that produces its findings.
+_PROGRAM_RULES: dict[str, Callable[[CallGraph], Iterator[Finding]]] = {
+    "THR201": find_unlocked_writes,
+    "THR210": find_inconsistent_locksets,
+    "THR211": find_lock_order_inversions,
+    "DTY110": find_dtype_flow_violations,
+}
 
 
+@dataclass
 class DeepResult:
-    """Findings plus the run's bookkeeping (cache stats, timings)."""
+    """Findings plus the run's bookkeeping."""
 
-    def __init__(
-        self,
-        findings: list[Finding],
-        project: Project,
-        graph: CallGraph,
-        cache_stats: dict[str, int],
-        elapsed: float,
-    ):
-        self.findings = findings
-        self.project = project
-        self.graph = graph
-        self.cache_stats = cache_stats
-        self.elapsed = elapsed
+    findings: list[Finding]
+    files: int                      #: files parsed (including failures)
+    cache_stats: dict[str, int] = field(default_factory=dict)
 
 
-def _deep_findings(graph: CallGraph) -> list[Finding]:
-    out: list[Finding] = []
-    out.extend(find_inconsistent_locksets(graph))
-    out.extend(find_lock_order_inversions(graph))
-    out.extend(find_dtype_flow_violations(graph))
-    return out
-
-
-def _apply_suppressions(
-    project: Project, findings: list[Finding]
+def _analyze(
+    project: Project,
+    rules: Iterable[str] | None,
+    changed: Collection[str] | None = None,
 ) -> list[Finding]:
-    tables = {
-        ctx.path: ctx.suppressions for ctx in project.contexts.values()
-    }
-    kept = []
-    for f in findings:
-        table = tables.get(f.path)
-        if table is not None and suppression_covers(table, f):
-            continue
-        kept.append(f)
-    return kept
+    selected = list(iter_rules(rules))
+    keep = None if changed is None else {Path(p).resolve() for p in changed}
+
+    def per_file(path: str) -> bool:
+        return keep is None or Path(path).resolve() in keep
+
+    findings = [
+        syntax_finding(path, exc)
+        for path, exc in project.parse_failures.items() if per_file(path)
+    ]
+    for path, ctx in project.contexts.items():
+        if per_file(path):
+            findings.extend(scan_context(ctx, selected))
+    programs = [_PROGRAM_RULES[r.id] for r in selected if r.id in _PROGRAM_RULES]
+    if programs:
+        graph = CallGraph.build(project)
+        for analysis in programs:
+            for f in analysis(graph):
+                ctx = project.contexts.get(f.path)
+                if ctx is None:
+                    findings.append(f)
+                elif not suppression_covers(ctx.suppressions, f):
+                    findings.append(replace(f, snippet=ctx.line_text(f.line)))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
 
 
 def run_deep(
     paths: Sequence[str] | str,
     rules: Iterable[str] | None = None,
-    shallow_paths: Sequence[str] | None = None,
+    changed: Collection[str] | None = None,
     cache_dir: str | None = DEFAULT_CACHE_DIR,
 ) -> DeepResult:
-    """Run the combined shallow + whole-program analysis.
+    """Analyze the files/directories under ``paths``.
 
-    ``paths`` are the project roots the deep analysis covers; the
-    shallow per-file rules run over ``shallow_paths`` when given (the
-    ``--changed`` subset) and over ``paths`` otherwise.  ``cache_dir``
-    of ``None`` disables the summary cache.
+    ``changed`` (the ``--changed`` subset) narrows the per-file rules;
+    the whole-program rules always see every file.  ``cache_dir`` of
+    ``None`` disables the summary cache.
     """
-    start = time.perf_counter()
     if isinstance(paths, str):
         paths = [paths]
-
-    # 1. Shallow rules, minus the superseded ones (unless explicitly
-    # requested by id — an explicit --rules selection always wins).
-    selected = list(rules) if rules is not None else None
-    shallow_rules = selected
-    if selected is None:
-        from repro.checks.registry import iter_rules
-
-        shallow_rules = [
-            r.id for r in iter_rules() if r.id not in SUPERSEDED_BY_DEEP
-        ]
-    scan_paths = list(shallow_paths) if shallow_paths is not None else list(paths)
-    findings = run_shallow(scan_paths, rules=shallow_rules) if scan_paths else []
-
-    # 2./3. Whole-program phase from (cached) summaries.
     cache = SummaryCache(cache_dir) if cache_dir is not None else None
     project = Project.load(paths, cache=cache)
-    graph = CallGraph.build(project)
-
-    wanted = set(selected) if selected is not None else None
-    deep = [
-        f for f in _deep_findings(graph)
-        if wanted is None or f.rule in wanted
-    ]
-    deep = _apply_suppressions(project, deep)
-    findings.extend(deep)
-
-    # 4. Call-graph upgrades of the syntactic THR rules.
-    findings = upgrade_thr201(graph, findings)
-    findings = upgrade_thr203(graph, findings)
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return DeepResult(
-        findings=findings,
-        project=project,
-        graph=graph,
+        findings=_analyze(project, rules, changed),
+        files=len(project.contexts) + len(project.parse_failures),
         cache_stats=cache.stats() if cache is not None else {},
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -140,21 +110,8 @@ def run_deep_sources(
     sources: dict[str, str],
     rules: Iterable[str] | None = None,
 ) -> list[Finding]:
-    """Deep analysis over in-memory ``{path: source}`` (fixture tests).
-
-    Only the deep findings are returned (the shallow rules have their
-    own fixture suites); suppressions still apply.
-    """
-    project = Project.from_sources(sources)
-    graph = CallGraph.build(project)
-    wanted = set(rules) if rules is not None else None
-    deep = [
-        f for f in _deep_findings(graph)
-        if wanted is None or f.rule in wanted
-    ]
-    deep = _apply_suppressions(project, deep)
-    deep.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return deep
+    """Analyze in-memory ``{path: source}`` (the fixture-test entry point)."""
+    return _analyze(Project.from_sources(sources), rules)
 
 
 __all__ = ["run_deep", "run_deep_sources", "DeepResult"]

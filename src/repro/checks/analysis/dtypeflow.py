@@ -19,8 +19,7 @@ one-level ``call`` result.  This pass resolves those bases over the call
 graph — callee returns, params bound to caller arguments — and reports
 DTY110 wherever a resolved-**tainted** value reaches a ``pgemm`` /
 ``plan_gemm`` argument, anchored at the *tainting operation* with the
-sink named in the message.  That is what retires the name-heuristic
-DTY103: no identifier conventions, only provenance.
+sink named in the message: no identifier conventions, only provenance.
 """
 
 from __future__ import annotations

@@ -1,14 +1,22 @@
-"""Eraser-style lockset + lock-order analyses (THR210, THR211).
+"""Eraser-style lockset + lock-order analyses (THR201, THR210, THR211).
 
-**THR210 — inconsistent lockset on shared mutable state.**  For every
-module-level mutable variable, collect all writes across the project;
-each write's effective lockset is the locks syntactically held at the
-statement *plus* the writer function's must-hold entry lockset (locks
-provably held by every resolved caller — the interprocedural part).  A
-variable written from ≥ 2 distinct thread roots — or from one thread
-root plus main-only code — whose write locksets share **no** common lock
-is a race: no single lock consistently protects it.  One finding per
-variable, anchored at the least-protected write.
+All three read the module-state writes and lock acquisitions recorded
+in the summaries.  A write's *effective lockset* is the locks
+syntactically held at the statement *plus* the writer function's
+must-hold entry lockset (locks provably held by every resolved caller —
+the interprocedural part).
+
+**THR201 — unlocked write to module-level mutable state.**  Any write
+whose effective lockset is empty, whether or not a second thread is
+known to reach it: process-wide singletons must be written under their
+lock.  One finding per written line.
+
+**THR210 — inconsistent lockset on shared mutable state.**  A
+module-level mutable variable written from ≥ 2 distinct thread roots —
+or from one thread root plus main-only code — whose write locksets
+share **no** common lock is a race: no single lock consistently
+protects it.  One finding per variable, anchored at the
+least-protected write.
 
 **THR211 — lock-order inversion (static deadlock detector).**  Build the
 *acquired-before* graph: an edge ``A -> B`` whenever ``B`` is acquired
@@ -17,7 +25,7 @@ under ``A`` into a callee that (transitively) acquires ``B``.  Any cycle
 is a potential ABBA deadlock; one finding per distinct cycle, anchored
 at the lexically first acquisition that participates.
 
-Both analyses only *report* races/cycles whose every lock token is
+THR210 and THR211 only *report* races/cycles whose every lock token is
 project-canonical; expression locks that could not be canonicalized
 never silence a report but also never fabricate one.
 """
@@ -36,6 +44,7 @@ class _WriteSite:
     var: str                       #: fq variable name (``module.name``)
     path: str
     line: int
+    defined: int                   #: line of the module-level binding
     func: str                      #: fq function name
     locks: frozenset[str]
     roots: frozenset[str]
@@ -48,11 +57,12 @@ def _collect_writes(graph: CallGraph) -> dict[str, list[_WriteSite]]:
         entry = graph.entry_lockset(ref.fq)
         roots = frozenset(graph.roots_reaching(ref.fq))
         path = project.path_of(ref.module)
+        state = project.summaries[ref.module].state
         for w in fn.writes:
             var = f"{ref.module}.{w.name}"
             site = _WriteSite(
-                var=var, path=path, line=w.line, func=ref.fq,
-                locks=frozenset(w.locks) | entry, roots=roots,
+                var=var, path=path, line=w.line, defined=state.get(w.name, 0),
+                func=ref.fq, locks=frozenset(w.locks) | entry, roots=roots,
             )
             by_var.setdefault(var, []).append(site)
     return by_var
@@ -60,6 +70,29 @@ def _collect_writes(graph: CallGraph) -> dict[str, list[_WriteSite]]:
 
 def _fmt_locks(locks: frozenset[str]) -> str:
     return "{" + ", ".join(sorted(locks)) + "}" if locks else "{} (none)"
+
+
+def find_unlocked_writes(graph: CallGraph) -> Iterator[Finding]:
+    """THR201 findings: writes whose effective lockset is empty."""
+    for var, sites in sorted(_collect_writes(graph).items()):
+        name = var.rsplit(".", 1)[-1]
+        for s in sites:
+            if s.locks:
+                continue
+            yield Finding(
+                rule="THR201",
+                severity=Severity.ERROR,
+                path=s.path,
+                line=s.line,
+                col=0,
+                message=(
+                    f"module-level mutable `{name}` (defined at line "
+                    f"{s.defined}) written with no lock held — no `with "
+                    "<lock>:` here and no lock every caller holds; guard "
+                    "it with the owning lock or make it thread-local"
+                ),
+                extra={"var": var},
+            )
 
 
 def find_inconsistent_locksets(graph: CallGraph) -> Iterator[Finding]:
@@ -207,43 +240,8 @@ def find_lock_order_inversions(graph: CallGraph) -> Iterator[Finding]:
     yield from findings
 
 
-def upgrade_thr201(
-    graph: CallGraph, findings: list[Finding]
-) -> list[Finding]:
-    """Drop THR201 findings whose statement provably runs under a lock
-    on every resolved call path (the call-graph upgrade of the rule)."""
-    kept: list[Finding] = []
-    for f in findings:
-        if f.rule != "THR201":
-            kept.append(f)
-            continue
-        ref = graph.project.enclosing_function(f.path, f.line)
-        if ref is not None and graph.entry_lockset(ref.fq):
-            continue  # a caller provably holds a lock here
-        kept.append(f)
-    return kept
-
-
-def upgrade_thr203(
-    graph: CallGraph, findings: list[Finding]
-) -> list[Finding]:
-    """Drop THR203 findings when a (transitive) caller carries the
-    PID-keyed fork-rebuild guard the same-file syntax could not see."""
-    kept: list[Finding] = []
-    for f in findings:
-        if f.rule != "THR203":
-            kept.append(f)
-            continue
-        ref = graph.project.enclosing_function(f.path, f.line)
-        if ref is not None and graph.ancestors_with_getpid(ref.fq):
-            continue
-        kept.append(f)
-    return kept
-
-
 __all__ = [
+    "find_unlocked_writes",
     "find_inconsistent_locksets",
     "find_lock_order_inversions",
-    "upgrade_thr201",
-    "upgrade_thr203",
 ]

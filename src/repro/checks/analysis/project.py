@@ -1,6 +1,6 @@
 """Project model: module discovery, summaries, and symbol resolution.
 
-A :class:`Project` is the whole-program view the deep analyses run over:
+A :class:`Project` is the whole-program view the analyses run over:
 every scanned module's :class:`~repro.checks.analysis.summary.ModuleSummary`
 plus the file contexts (suppression tables) and a resolver that turns the
 dotted call expressions recorded in summaries into fully-qualified
@@ -23,7 +23,6 @@ the analyses stay conservative rather than guess.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -73,9 +72,10 @@ class Project:
     """Summaries + contexts for one whole-program analysis run."""
 
     summaries: dict[str, ModuleSummary] = field(default_factory=dict)
+    #: path -> parsed file (AST + suppression table)
     contexts: dict[str, FileContext] = field(default_factory=dict)
-    #: modules whose source failed to parse (path -> error line)
-    parse_failures: dict[str, int] = field(default_factory=dict)
+    #: files whose source failed to parse (path -> the error)
+    parse_failures: dict[str, SyntaxError] = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------
 
@@ -88,21 +88,7 @@ class Project:
         """Build a project from files/directories on disk."""
         project = cls()
         for file in discover(list(paths)):
-            text = file.read_text(encoding="utf-8")
-            path = str(file)
-            module = module_name_for(path)
-            try:
-                ctx = make_context(text, path)
-            except SyntaxError as exc:
-                project.parse_failures[path] = exc.lineno or 1
-                continue
-            project.contexts[module] = ctx
-            summary = cache.get(text) if cache is not None else None
-            if summary is None or summary.module != module:
-                summary = summarize(module, path, ctx.tree)
-                if cache is not None:
-                    cache.put(text, summary)
-            project.summaries[module] = summary
+            project._add(str(file), file.read_text(encoding="utf-8"), cache)
         return project
 
     @classmethod
@@ -110,15 +96,24 @@ class Project:
         """Build a project from in-memory ``{relpath: source}`` (tests)."""
         project = cls()
         for path, text in sources.items():
-            module = module_name_for(path)
-            try:
-                ctx = make_context(text, path)
-            except SyntaxError as exc:
-                project.parse_failures[path] = exc.lineno or 1
-                continue
-            project.contexts[module] = ctx
-            project.summaries[module] = summarize(module, path, ctx.tree)
+            project._add(path, text, None)
         return project
+
+    def _add(self, path: str, text: str, cache: SummaryCache | None) -> None:
+        module = module_name_for(path)
+        try:
+            ctx = make_context(text, path)
+        except SyntaxError as exc:
+            self.parse_failures[path] = exc
+            return
+        self.contexts[path] = ctx
+        summary = cache.get(text) if cache is not None else None
+        if summary is None or summary.module != module:
+            summary = summarize(module, path, ctx.tree)
+            if cache is not None:
+                cache.put(text, summary)
+        summary.path = path  # a cached summary keeps the path it was built from
+        self.summaries[module] = summary
 
     # -- lookups -----------------------------------------------------------
 
@@ -290,9 +285,4 @@ class Project:
         return self.resolve_call(caller, dotted)
 
 
-def parse_module(source: str, path: str = "<memory>") -> ast.Module:
-    """Tiny helper kept for the analysis tests."""
-    return ast.parse(source, filename=path)
-
-
-__all__ = ["Project", "FunctionRef", "module_name_for", "parse_module"]
+__all__ = ["Project", "FunctionRef", "module_name_for"]

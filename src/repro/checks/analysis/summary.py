@@ -16,7 +16,7 @@ need into a :class:`ModuleSummary` — a plain JSON-serializable record:
 Summaries deliberately contain **no AST nodes** so they can round-trip
 through the content-addressed cache (:mod:`repro.checks.analysis.cache`)
 — the whole-program phase runs entirely from summaries, which is what
-keeps warm incremental ``--deep`` runs fast.
+keeps warm incremental ``repro check --changed`` runs fast.
 
 Lock canonicalization
 ---------------------
@@ -40,7 +40,29 @@ from typing import Any, Iterator
 from repro.checks import astutil
 
 #: Bump to invalidate every cached summary when the extraction changes.
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
+
+#: Lock constructors: a module-level binding of one is a lock, not state.
+_LOCK_FACTORIES = frozenset({
+    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+})
+
+#: Factory callees whose results are immutable (or self-synchronized) —
+#: module-level bindings of these are not mutable state.
+_IMMUTABLE_FACTORIES = _LOCK_FACTORIES | frozenset({
+    "frozenset", "tuple", "int", "float", "str", "bool", "bytes",
+    "compile",            # re.compile
+    "Event", "local",     # threading.Event / thread-local
+    "get_logger",         # repro.obs.log loggers are immutable
+    "namedtuple", "TypeVar", "getenv", "get", "Path", "getLogger",
+})
+
+#: Methods that mutate their receiver in place.
+_MUTATORS = frozenset({
+    "append", "extend", "add", "update", "clear", "pop", "popitem",
+    "popleft", "appendleft", "remove", "discard", "insert", "setdefault",
+    "move_to_end", "sort", "reverse",
+})
 
 #: Callee terminal names that spawn a thread/process with ``target=``.
 _SPAWN_FACTORIES = frozenset({"Thread", "Process"})
@@ -167,8 +189,6 @@ class FunctionSummary:
     gemm_calls: list[GemmCall] = field(default_factory=list)
     #: dtype basis of the function's return value
     returns: dict[str, Any] = field(default_factory=lambda: dict(UNKNOWN))
-    #: function contains an os.getpid() fork-guard probe
-    has_getpid: bool = False
 
 
 @dataclass
@@ -205,7 +225,6 @@ class ModuleSummary:
                 acquires=list(f.get("acquires", [])),
                 acq_pairs=[list(p) for p in f.get("acq_pairs", [])],
                 returns=dict(f.get("returns", UNKNOWN)),
-                has_getpid=bool(f.get("has_getpid", False)),
             )
             fs.calls = [CallSite(**c) for c in f.get("calls", [])]
             fs.writes = [StateWrite(**w) for w in f.get("writes", [])]
@@ -219,7 +238,15 @@ class ModuleSummary:
 # --------------------------------------------------------------------------
 
 def _module_mutable_state(tree: ast.Module) -> tuple[dict[str, int], list[str]]:
-    """(mutable module-state names -> line, module-level lock names)."""
+    """(mutable module-state names -> line, module-level lock names).
+
+    The one definition of "module-level mutable state": a top-level name
+    bound to a container literal or comprehension, to a call of anything
+    but an immutable factory, or to a constant.  Scalars (``_counter =
+    0``, ``_pool = None``) are shared state when a function rebinds them
+    via ``global``; :func:`_written_state` requires that declaration, so
+    never-rebound constants cost nothing.
+    """
     state: dict[str, int] = {}
     locks: list[str] = []
     for stmt in tree.body:
@@ -231,43 +258,99 @@ def _module_mutable_state(tree: ast.Module) -> tuple[dict[str, int], list[str]]:
             targets, value = [stmt.target], stmt.value
         if value is None:
             continue
+        callee = (
+            astutil.terminal_name(value.func)
+            if isinstance(value, ast.Call) else None
+        )
         for t in targets:
             if not isinstance(t, ast.Name):
                 continue
-            is_lock = "lock" in t.id.lower()
-            if not is_lock and isinstance(value, ast.Call):
-                ctor = astutil.terminal_name(value.func)
-                is_lock = ctor in (
-                    "Lock", "RLock", "Condition", "Semaphore",
-                    "BoundedSemaphore",
-                )
-            if is_lock:
+            if "lock" in t.id.lower() or callee in _LOCK_FACTORIES:
                 locks.append(t.id)
+            elif t.id.startswith("__"):
                 continue
-            if t.id.startswith("__"):
-                continue
-            mutable = False
-            if isinstance(value, (ast.Dict, ast.List, ast.Set,
-                                  ast.ListComp, ast.DictComp, ast.SetComp)):
-                mutable = True
-            elif isinstance(value, ast.Call):
-                callee = astutil.terminal_name(value.func)
-                mutable = callee is not None and callee not in (
-                    "frozenset", "tuple", "int", "float", "str", "bool",
-                    "bytes", "compile", "Lock", "RLock", "Condition",
-                    "Semaphore", "BoundedSemaphore", "Event", "local",
-                    "get_logger", "namedtuple", "TypeVar", "getenv", "get",
-                    "Path", "getLogger",
-                )
-            elif isinstance(value, ast.Constant):
-                # Scalars (``_counter = 0``, ``_pool = None``) are shared
-                # state too when a function rebinds them via ``global`` —
-                # write recording still requires that declaration, so
-                # never-rebound constants cost nothing.
-                mutable = True
-            if mutable:
+            elif (
+                isinstance(value, (ast.Dict, ast.List, ast.Set, ast.Constant,
+                                   ast.ListComp, ast.DictComp, ast.SetComp))
+                or (callee is not None and callee not in _IMMUTABLE_FACTORIES)
+            ):
                 state[t.id] = stmt.lineno
     return state, locks
+
+
+def _assigned(targets: list[ast.expr]) -> Iterator[ast.expr]:
+    """Assignment targets with tuple/list/starred unpacking flattened."""
+    for t in targets:
+        if isinstance(t, (ast.Tuple, ast.List)):
+            yield from _assigned(t.elts)
+        elif isinstance(t, ast.Starred):
+            yield from _assigned([t.value])
+        else:
+            yield t
+
+
+def _written_state(
+    node: ast.AST, state: dict[str, int], declared: set[str]
+) -> list[str]:
+    """The module-state names ``node`` writes — the one definition of a write.
+
+    A write is an item/attribute store or ``del`` on a state name
+    (``_C[k] = v``, ``_C.x += 1``, ``del _C[k]``), an in-place mutator
+    call anywhere in an expression (``_C.append(x)``, ``y = _C.pop(k)``),
+    or a rebind of a name the function declares ``global``.
+    """
+    if isinstance(node, ast.Call):
+        f = node.func
+        if (
+            isinstance(f, ast.Attribute)
+            and f.attr in _MUTATORS
+            and isinstance(f.value, ast.Name)
+            and f.value.id in state
+        ):
+            return [f.value.id]
+        return []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    names: list[str] = []
+    for t in _assigned(targets):
+        if isinstance(t, (ast.Attribute, ast.Subscript)):
+            if isinstance(t.value, ast.Name) and t.value.id in state:
+                names.append(t.value.id)
+        elif isinstance(t, ast.Name) and t.id in state and t.id in declared:
+            names.append(t.id)
+    return names
+
+
+def _state_writes(
+    func: ast.FunctionDef | ast.AsyncFunctionDef, state: dict[str, int]
+) -> Iterator[tuple[ast.AST, str]]:
+    """``(node, name)`` for every module-state write in ``func``.
+
+    Nested functions are included, each judged against its own
+    ``global`` declarations.
+    """
+    pending: list[ast.AST] = [func]
+    while pending:
+        scope = pending.pop()
+        nodes: list[ast.AST] = []
+        frontier = list(ast.iter_child_nodes(scope))
+        while frontier:
+            node = frontier.pop()
+            if isinstance(node, astutil.FunctionNode):
+                pending.append(node)
+                continue
+            nodes.append(node)
+            frontier.extend(ast.iter_child_nodes(node))
+        declared = {
+            name for n in nodes if isinstance(n, ast.Global) for name in n.names
+        }
+        for node in nodes:
+            for name in _written_state(node, state, declared):
+                yield node, name
 
 
 def _imports(tree: ast.Module, module: str) -> dict[str, str]:
@@ -357,16 +440,21 @@ def _held_locks(
 
 
 def _iter_functions(
-    tree: ast.Module,
+    node: ast.AST, class_name: str | None = None, prefix: str = "",
 ) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None, str]]:
-    """(function node, enclosing class name, module-relative qualname)."""
-    for node in tree.body:
-        if isinstance(node, astutil.FunctionNode):
-            yield node, None, node.name
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, astutil.FunctionNode):
-                    yield sub, node.name, f"{node.name}.{sub.name}"
+    """(function node, enclosing class name, module-relative qualname).
+
+    Every function not nested in another function: module-level ones,
+    methods (of nested classes too), and defs under a module-level
+    ``if``/``try``.  Nested functions belong to their enclosing summary.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, astutil.FunctionNode):
+            yield child, class_name, prefix + child.name
+        elif isinstance(child, ast.ClassDef):
+            yield from _iter_functions(child, child.name, f"{prefix}{child.name}.")
+        elif not isinstance(child, ast.expr):
+            yield from _iter_functions(child, class_name, prefix)
 
 
 def _class_info(tree: ast.Module) -> dict[str, dict[str, Any]]:
@@ -610,14 +698,16 @@ class _FunctionExtractor:
     # -- statement walk ----------------------------------------------------
 
     def run(self) -> FunctionSummary:
-        for sub in ast.walk(self.func):
-            if (
-                (isinstance(sub, ast.Attribute) and sub.attr == "getpid")
-                or (isinstance(sub, ast.Name) and sub.id == "getpid")
-            ):
-                self.out.has_getpid = True
-                break
         self._walk_body(self.func.body)
+        seen: set[tuple[int, str]] = set()
+        for node, name in _state_writes(self.func, self.module_state):
+            line = getattr(node, "lineno", self.func.lineno)
+            if (line, name) not in seen:
+                seen.add((line, name))
+                self.out.writes.append(
+                    StateWrite(name=name, line=line, locks=self._locks_at(node))
+                )
+        self.out.writes.sort(key=lambda w: (w.line, w.name))
         return self.out
 
     def _walk_body(self, body: list[ast.stmt]) -> None:
@@ -636,10 +726,6 @@ class _FunctionExtractor:
                         ctor = astutil.dotted_name(stmt.value.func)
                         if ctor and ctor.split(".")[-1][:1].isupper():
                             self.local_types[t.id] = ctor
-            self._record_write(stmt)
-            self._scan_calls(stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            self._record_write(stmt)
             self._scan_calls(stmt)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None and isinstance(stmt.target, ast.Name):
@@ -668,7 +754,6 @@ class _FunctionExtractor:
             self._walk_body(stmt.orelse)
             self._walk_body(stmt.finalbody)
         else:
-            self._record_write(stmt)
             self._scan_calls(stmt)
 
     def _locks_at(self, node: ast.AST) -> list[str]:
@@ -691,62 +776,6 @@ class _FunctionExtractor:
                 for i in inner:
                     if o != i:
                         self.out.acq_pairs.append([o, i, stmt.lineno])
-
-    def _record_write(self, stmt: ast.stmt) -> None:
-        names: list[str] = []
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            declared = self._global_names()
-            for t in targets:
-                if isinstance(t, (ast.Attribute, ast.Subscript)):
-                    base = t.value
-                    if isinstance(base, ast.Name) and base.id in self.module_state:
-                        names.append(base.id)
-                elif isinstance(t, ast.Name) and t.id in self.module_state:
-                    if t.id in declared:
-                        names.append(t.id)
-                elif isinstance(t, ast.Tuple):
-                    for el in t.elts:
-                        if (
-                            isinstance(el, ast.Name)
-                            and el.id in self.module_state
-                            and el.id in declared
-                        ):
-                            names.append(el.id)
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            call = stmt.value
-            f = call.func
-            if (
-                isinstance(f, ast.Attribute)
-                and f.attr in ("append", "extend", "add", "update", "clear",
-                               "pop", "popitem", "remove", "discard",
-                               "insert", "setdefault", "move_to_end")
-                and isinstance(f.value, ast.Name)
-                and f.value.id in self.module_state
-            ):
-                names.append(f.value.id)
-        elif isinstance(stmt, ast.Delete):
-            for t in stmt.targets:
-                if isinstance(t, (ast.Attribute, ast.Subscript)):
-                    base = t.value
-                    if isinstance(base, ast.Name) and base.id in self.module_state:
-                        names.append(base.id)
-        if not names:
-            return
-        locks = self._locks_at(stmt)
-        for name in names:
-            self.out.writes.append(
-                StateWrite(name=name, line=stmt.lineno, locks=locks)
-            )
-
-    def _global_names(self) -> set[str]:
-        declared: set[str] = set()
-        for sub in ast.walk(self.func):
-            if isinstance(sub, ast.Global):
-                declared.update(sub.names)
-        return declared
 
     def _scan_calls(self, stmt: ast.stmt) -> None:
         self._scan_calls_exprs([stmt])

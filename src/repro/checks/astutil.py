@@ -82,16 +82,6 @@ def is_lockish(node: ast.AST) -> bool:
     return False
 
 
-def in_with_lock(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> bool:
-    """Is ``node`` inside a ``with <lock>:`` block?"""
-    for anc in ancestors(node, parents):
-        if isinstance(anc, ast.With):
-            for item in anc.items:
-                if is_lockish(item.context_expr):
-                    return True
-    return False
-
-
 def mentions(node: ast.AST, pred: Callable[[ast.AST], bool]) -> bool:
     """Does any sub-node satisfy ``pred``?"""
     return any(pred(sub) for sub in ast.walk(node))
@@ -172,7 +162,6 @@ __all__ = [
     "call_name",
     "terminal_name",
     "is_lockish",
-    "in_with_lock",
     "mentions",
     "has_emptiness_guard",
     "under_errstate",

@@ -1,9 +1,11 @@
-"""The :mod:`repro.checks` analysis engine.
+"""The per-file half of :mod:`repro.checks`.
 
-Drives the registered rules over a set of Python files: parse once per
-file into a :class:`FileContext` (AST + parent links + suppression
-table), run every selected rule, filter suppressed findings, and emit
-meta-findings for malformed suppressions.
+Parses a file once into a :class:`FileContext` (AST + parent links +
+suppression table), runs the selected per-file rules over it, filters
+suppressed findings, and emits meta-findings for malformed
+suppressions.  :func:`run` and :func:`run_source` are the public entry
+points; both hand over to the driver in
+:mod:`repro.checks.analysis.deep`, which adds the whole-program rules.
 
 Suppression syntax
 ------------------
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.checks.findings import Finding, Severity
-from repro.checks.registry import Rule, iter_rules
+from repro.checks.registry import Rule
 from repro.checks import astutil
 
 #: Meta-rule id for a suppression comment without a justification.
@@ -156,7 +158,8 @@ def make_context(source: str, path: str = "<string>") -> FileContext:
     )
 
 
-def _scan_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
+def scan_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
+    """The per-file rules among ``rules`` over one parsed file, plus SUP001."""
     findings: list[Finding] = []
     # Meta-rule: suppression without justification (never suppressible).
     for sup in ctx.bad_suppressions:
@@ -175,32 +178,15 @@ def _scan_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
             )
         )
     for r in rules:
-        if r.deep:
-            continue  # whole-program rules run in the analysis pass
-        if not r.applies_to(ctx.posix_path):
+        if r.check is None or not r.applies_to(ctx.posix_path):
             continue
         for f in r.check(ctx):
             if not ctx.is_suppressed(f):
                 findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
-def run_source(
-    source: str,
-    path: str = "src/repro/_snippet.py",
-    rules: Iterable[str] | None = None,
-) -> list[Finding]:
-    """Scan a source string (the fixture-test entry point)."""
-    selected = list(iter_rules(rules))
-    try:
-        ctx = make_context(source, path)
-    except SyntaxError as exc:
-        return [_syntax_finding(path, exc)]
-    return _scan_context(ctx, selected)
-
-
-def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
+def syntax_finding(path: str, exc: SyntaxError) -> Finding:
     return Finding(
         rule="PARSE000",
         severity=Severity.ERROR,
@@ -231,24 +217,27 @@ def run(
     paths: Sequence[str] | str,
     rules: Iterable[str] | None = None,
 ) -> list[Finding]:
-    """Scan files/directories and return all unsuppressed findings.
+    """Analyze files/directories and return all unsuppressed findings.
 
-    This is the importable API (``repro.checks.run(paths)``); the CLI is
-    a thin wrapper that renders the result and maps it to an exit code.
+    This is the importable API (``repro.checks.run(paths)``): per-file
+    and whole-program rules alike, without the summary cache.  The CLI
+    is a thin wrapper that renders the result and maps it to an exit
+    code.
     """
-    if isinstance(paths, str):
-        paths = [paths]
-    selected = list(iter_rules(rules))
-    findings: list[Finding] = []
-    for file in discover(paths):
-        text = file.read_text(encoding="utf-8")
-        try:
-            ctx = make_context(text, str(file))
-        except SyntaxError as exc:
-            findings.append(_syntax_finding(str(file), exc))
-            continue
-        findings.extend(_scan_context(ctx, selected))
-    return findings
+    from repro.checks.analysis.deep import run_deep
+
+    return run_deep(paths, rules=rules, cache_dir=None).findings
+
+
+def run_source(
+    source: str,
+    path: str = "src/repro/_snippet.py",
+    rules: Iterable[str] | None = None,
+) -> list[Finding]:
+    """Analyze one source string as a one-module project (fixture tests)."""
+    from repro.checks.analysis.deep import run_deep_sources
+
+    return run_deep_sources({path: source}, rules=rules)
 
 
 __all__ = [
@@ -257,6 +246,8 @@ __all__ = [
     "FileContext",
     "make_context",
     "suppression_covers",
+    "scan_context",
+    "syntax_finding",
     "run",
     "run_source",
     "discover",

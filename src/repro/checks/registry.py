@@ -2,9 +2,11 @@
 
 A rule is a plain callable ``check(ctx) -> Iterable[Finding]`` wrapped in
 :class:`Rule` metadata (id, family, severity, what invariant it guards,
-and which paths are exempt).  Rules self-register at import time via the
-:func:`rule` decorator; :data:`RULES` is the id-ordered registry the
-engine and the CLI ``--list-rules`` output read.
+and which paths are exempt).  Per-file rules self-register at import
+time via the :func:`rule` decorator; whole-program rules, whose logic
+lives in :mod:`repro.checks.analysis`, register metadata only through
+:func:`register`.  :data:`RULES` is the id-ordered registry the engine
+and the CLI ``--list-rules`` output read.
 """
 
 from __future__ import annotations
@@ -26,30 +28,36 @@ class Rule:
     """One registered static-analysis rule."""
 
     id: str                      #: e.g. ``DTY101``
-    family: str                  #: ``dtype`` | ``threads`` | ``obs`` | ``numeric`` | ``meta``
+    family: str                  #: ``dtype`` | ``threads`` | ``obs`` | ``numeric`` | ``plan``
     severity: Severity
     summary: str                 #: one-line description for ``--list-rules``
     invariant: str               #: the project invariant the rule protects
-    check: CheckFn
+    #: The per-file check; ``None`` for a whole-program rule, whose
+    #: findings come from :mod:`repro.checks.analysis`.
+    check: CheckFn | None = None
     #: Path suffixes (``/``-separated, POSIX style) where the rule does
     #: not apply — e.g. the module that *implements* the guarded API.
     exempt_paths: tuple = field(default=())
-    #: Deep rules run in the whole-program analysis pass
-    #: (:mod:`repro.checks.analysis`), not the per-file scan; their
-    #: ``check`` is a stub and the engine skips them outside ``--deep``.
-    deep: bool = False
 
     def applies_to(self, posix_path: str) -> bool:
         return not any(posix_path.endswith(sfx) for sfx in self.exempt_paths)
 
 
-#: id -> Rule, populated by the :func:`rule` decorator at import time.
+#: id -> Rule, populated by :func:`register` at import time.
 RULES: dict[str, Rule] = {}
 
 #: Guards :data:`RULES`.  Registration normally happens under the import
 #: lock, but re-imports from worker threads (e.g. a serving process that
 #: lazily pulls in ``repro.checks``) must not interleave writes.
 _REGISTRY_LOCK = threading.Lock()
+
+
+def register(r: Rule) -> None:
+    """Add ``r`` to :data:`RULES` (a duplicate id raises)."""
+    with _REGISTRY_LOCK:
+        if r.id in RULES:
+            raise ValueError(f"duplicate rule id {r.id!r}")
+        RULES[r.id] = r
 
 
 def rule(
@@ -59,24 +67,19 @@ def rule(
     summary: str,
     invariant: str,
     exempt_paths: tuple = (),
-    deep: bool = False,
 ) -> Callable[[CheckFn], CheckFn]:
-    """Register ``check`` under ``id``; returns the callable unchanged."""
+    """Register ``check`` as a per-file rule; returns it unchanged."""
 
     def decorate(check: CheckFn) -> CheckFn:
-        with _REGISTRY_LOCK:
-            if id in RULES:
-                raise ValueError(f"duplicate rule id {id!r}")
-            RULES[id] = Rule(
-                id=id,
-                family=family,
-                severity=severity,
-                summary=summary,
-                invariant=invariant,
-                check=check,
-                exempt_paths=tuple(exempt_paths),
-                deep=deep,
-            )
+        register(Rule(
+            id=id,
+            family=family,
+            severity=severity,
+            summary=summary,
+            invariant=invariant,
+            check=check,
+            exempt_paths=tuple(exempt_paths),
+        ))
         return check
 
     return decorate
@@ -114,4 +117,4 @@ def _ensure_loaded() -> None:
     import repro.checks.rules  # noqa: F401 — imported for registration side effect
 
 
-__all__ = ["Rule", "RULES", "rule", "iter_rules", "families"]
+__all__ = ["Rule", "RULES", "register", "rule", "iter_rules", "families"]

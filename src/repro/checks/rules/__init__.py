@@ -1,6 +1,6 @@
 """Rule modules — importing this package registers every rule.
 
-Four domain families, one id range each:
+Five domain families, one id range each:
 
 * ``DTY1xx`` — dtype-exactness (:mod:`repro.checks.rules.dtype`)
 * ``THR2xx`` — thread-safety (:mod:`repro.checks.rules.threadsafety`)
@@ -8,10 +8,11 @@ Four domain families, one id range each:
 * ``NUM4xx`` — numeric-safety (:mod:`repro.checks.rules.numeric`)
 * ``PLN5xx`` — plan/cache discipline (:mod:`repro.checks.rules.plan`)
 
-The whole-program (deep) successors — ``THR210``/``THR211`` lockset and
-deadlock analyses, the ``DTY110`` dtype-flow lattice — register their
-metadata in :mod:`repro.checks.rules.deep`; their logic runs from
-:mod:`repro.checks.analysis` under ``repro check --deep``.
+The whole-program rules — ``THR201`` unlocked writes, the
+``THR210``/``THR211`` lockset and deadlock analyses, the ``DTY110``
+dtype-flow lattice — register their metadata in
+:mod:`repro.checks.rules.deep`; their logic runs from
+:mod:`repro.checks.analysis` in every ``repro check``.
 
 Plus the engine-level meta rule ``SUP001`` (suppression without a
 justification), which lives in :mod:`repro.checks.engine` because it is

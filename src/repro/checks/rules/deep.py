@@ -1,30 +1,35 @@
-"""Whole-program (deep) rule registrations: THR210, THR211, DTY110.
+"""Whole-program rule registrations: THR201, THR210, THR211, DTY110.
 
 These rules need a project-wide view — a symbol table, a call graph,
 interprocedural locksets, a dtype-flow lattice — so their logic lives in
-:mod:`repro.checks.analysis` and runs under ``repro check --deep``.  The
+:mod:`repro.checks.analysis` and runs in every ``repro check``.  The
 registrations here are metadata only (severity, invariant text,
-``--list-rules`` entries); the per-file ``check`` stubs yield nothing so
-a shallow scan is unaffected.
+``--list-rules`` and SARIF entries); they carry no per-file check.
 
-``DTY110`` supersedes the name-heuristic ``DTY103``: when ``--deep`` is
-active the engine drops DTY103 from the shallow rule set and relies on
-taint provenance instead of identifier conventions.
+``DTY110`` judges bit-plane arithmetic (``q_high * 0.5``, ``cols / n``)
+by where a value was minted exact, not by what it is called.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from repro.checks.findings import Severity
+from repro.checks.registry import Rule, register
 
-from repro.checks.engine import FileContext
-from repro.checks.findings import Finding, Severity
-from repro.checks.registry import rule
+register(Rule(
+    id="THR201",
+    family="threads",
+    severity=Severity.ERROR,
+    summary="module-level mutable state written with no lock held",
+    invariant=(
+        "Process-wide singletons (gemm call stats, logger registry, "
+        "logging config) are shared by serving worker threads; every "
+        "write must hold the owning lock — in a `with <lock>:` block or "
+        "through every resolved caller — as repro.core.gemm and "
+        "repro.obs.log do."
+    ),
+))
 
-#: Shallow rules a deep run replaces with their whole-program successor.
-SUPERSEDED_BY_DEEP: dict[str, str] = {"DTY103": "DTY110"}
-
-
-@rule(
+register(Rule(
     id="THR210",
     family="threads",
     severity=Severity.ERROR,
@@ -35,14 +40,9 @@ SUPERSEDED_BY_DEEP: dict[str, str] = {"DTY103": "DTY110"}
         "holds — locks acquired in callers count (Eraser-style lockset "
         "intersection over the call graph)."
     ),
-    deep=True,
-)
-def check_inconsistent_lockset(ctx: FileContext) -> Iterator[Finding]:
-    """Stub — implemented in repro.checks.analysis.lockset."""
-    return iter(())
+))
 
-
-@rule(
+register(Rule(
     id="THR211",
     family="threads",
     severity=Severity.ERROR,
@@ -52,14 +52,9 @@ def check_inconsistent_lockset(ctx: FileContext) -> Iterator[Finding]:
         "thread 2 takes B then A, both can block forever; the "
         "acquired-before graph over canonical locks must stay acyclic."
     ),
-    deep=True,
-)
-def check_lock_order_inversion(ctx: FileContext) -> Iterator[Finding]:
-    """Stub — implemented in repro.checks.analysis.lockset."""
-    return iter(())
+))
 
-
-@rule(
+register(Rule(
     id="DTY110",
     family="dtype",
     severity=Severity.ERROR,
@@ -68,19 +63,6 @@ def check_lock_order_inversion(ctx: FileContext) -> Iterator[Finding]:
         "A value minted exact (quantize/bit-split/rint/astype(int64)) "
         "that is narrowed, divided, or combined with a non-integral float "
         "anywhere along its flow must never reach pgemm/plan_gemm — the "
-        "float GEMM is exact only for exact-integer operands.  "
-        "Supersedes the DTY103 name heuristic under --deep."
+        "float GEMM is exact only for exact-integer operands."
     ),
-    deep=True,
-)
-def check_dtype_flow(ctx: FileContext) -> Iterator[Finding]:
-    """Stub — implemented in repro.checks.analysis.dtypeflow."""
-    return iter(())
-
-
-__all__ = [
-    "SUPERSEDED_BY_DEEP",
-    "check_inconsistent_lockset",
-    "check_lock_order_inversion",
-    "check_dtype_flow",
-]
+))

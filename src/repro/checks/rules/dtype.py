@@ -32,18 +32,6 @@ _NARROW_DTYPES = frozenset({
     "uint8", "uint16", "uint32",
 })
 
-#: Identifier prefixes that mark quantized / bit-plane arrays by the
-#: project naming convention (colcache.py, odq.py, bitsplit.py).
-_BITPLANE_PREFIXES = (
-    "q_high", "q_low", "qw", "cols_high", "cols_low", "cols_full",
-    "wmat", "hh", "acc2d", "plane",
-)
-
-
-def _is_bitplane_name(node: ast.AST) -> bool:
-    name = terminal_name(node)
-    return name is not None and name.startswith(_BITPLANE_PREFIXES)
-
 
 def _narrow_dtype_arg(arg: ast.AST) -> str | None:
     """The narrow dtype an ``astype`` argument or ``dtype=`` value spells."""
@@ -132,50 +120,7 @@ def check_narrow_dtype(ctx: FileContext) -> Iterator[Finding]:
             )
 
 
-@rule(
-    id="DTY103",
-    family="dtype",
-    severity=Severity.ERROR,
-    summary="non-integral float arithmetic on a bit-plane array",
-    invariant=(
-        "Bit-plane arrays (q_high/cols_low/wmat_*/hh*) hold exact "
-        "integers in a float dtype; multiplying or offsetting them by a "
-        "non-integral float constant destroys exactness before the GEMM."
-    ),
-)
-def check_bitplane_float_arith(ctx: FileContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.BinOp):
-            continue
-        if not isinstance(node.op, (ast.Mult, ast.Add, ast.Sub, ast.Div)):
-            continue
-        for side, other in ((node.left, node.right), (node.right, node.left)):
-            if not _is_bitplane_name(side):
-                continue
-            if isinstance(node.op, ast.Div):
-                yield ctx.finding(
-                    "DTY103", node,
-                    f"division on bit-plane array "
-                    f"`{terminal_name(side)}` leaves the exact-integer "
-                    "domain — dequantize via an explicit scale instead",
-                )
-                break
-            if (
-                isinstance(other, ast.Constant)
-                and isinstance(other.value, float)
-                and not float(other.value).is_integer()
-            ):
-                yield ctx.finding(
-                    "DTY103", node,
-                    f"float constant {other.value!r} combined with "
-                    f"bit-plane array `{terminal_name(side)}` — exact "
-                    "integer contract broken (use integral shifts/scales)",
-                )
-                break
-
-
 __all__ = [
     "check_unrouted_gemm",
     "check_narrow_dtype",
-    "check_bitplane_float_arith",
 ]

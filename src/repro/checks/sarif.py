@@ -1,8 +1,8 @@
 """SARIF 2.1.0 emission for ``repro check --format sarif``.
 
 Targets the subset GitHub code scanning consumes: one run, one tool
-driver carrying the full rule registry (so every rule — deep or shallow
-— shows up in the code-scanning rule list even before it first fires),
+driver carrying the full rule registry (so every rule shows up in the
+code-scanning rule list even before it first fires),
 and one ``result`` per finding with a ``physicalLocation`` anchored at
 the finding's line/column.
 
@@ -28,21 +28,15 @@ _LEVEL = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
 def _rule_descriptor(rule) -> dict:
-    summary = rule.summary
-    if rule.deep:
-        summary = f"{summary} [whole-program]"
     return {
         "id": rule.id,
         "name": rule.id,
-        "shortDescription": {"text": summary},
+        "shortDescription": {"text": rule.summary},
         "fullDescription": {"text": rule.invariant},
         "defaultConfiguration": {
             "level": _LEVEL.get(rule.severity, "note"),
         },
-        "properties": {
-            "family": rule.family,
-            "deep": rule.deep,
-        },
+        "properties": {"family": rule.family},
     }
 
 

@@ -78,11 +78,11 @@ class QuantizedInferenceEngine:
     Reuse & threading
     -----------------
     One engine is long-lived and reusable: :meth:`calibrate` once, then
-    call :meth:`infer` any number of times (``repro.serve`` keeps engines
-    in a session cache and streams batches through them).  Mode switching
-    (``calibrate`` ↔ ``run``) and inference are serialized by an internal
-    lock, so a calibration can never interleave with a concurrent
-    ``infer``.  The engine is *thread-confinable*, not thread-parallel:
+    call :meth:`infer` any number of times (each ``repro serve`` process
+    builds one ``ModelSession`` and streams batches through its engines).
+    Mode switching (``calibrate`` ↔ ``run``) and inference are serialized
+    by an internal lock, so a calibration can never interleave with a
+    concurrent ``infer``.  The engine is *thread-confinable*, not thread-parallel:
     for N concurrent workers use :meth:`clone` to give each worker its own
     engine (sharing nothing mutable), which is what the serving worker
     pool does.

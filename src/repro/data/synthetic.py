@@ -99,9 +99,9 @@ def _augment(
     out = images
     if max_shift > 0:
         shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-        out = np.stack(
-            [np.roll(img, tuple(s), axis=(1, 2)) for img, s in zip(out, shifts)]
-        )
+        out = np.empty_like(images)  # np.stack rejects an empty split
+        for i, (img, s) in enumerate(zip(images, shifts)):
+            out[i] = np.roll(img, tuple(s), axis=(1, 2))
     flips = rng.random(n) < 0.5
     out[flips] = out[flips, :, :, ::-1]
     contrast = rng.uniform(0.85, 1.15, size=(n, 1, 1, 1))

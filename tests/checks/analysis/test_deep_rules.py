@@ -1,4 +1,4 @@
-"""Deep-rule fixtures: every positive has a negative twin.
+"""Interprocedural-rule fixtures: every positive has a negative twin.
 
 THR210 — inconsistent lockset on shared mutable state.
 THR211 — lock-order inversion (ABBA).
@@ -6,6 +6,12 @@ DTY110 — exactness taint reaching a GEMM operand across functions.
 """
 
 from repro.checks.analysis import run_deep_sources
+
+
+def scan(sources):
+    """These three rules only: THR201 (one finding per unlocked write)
+    and the per-file rules have their own fixture suites."""
+    return run_deep_sources(sources, rules=["THR210", "THR211", "DTY110"])
 
 
 def rules_of(findings):
@@ -40,7 +46,7 @@ def start():
     threading.Thread(target=locked_bump).start()
     threading.Thread(target=unlocked_bump).start()
 """
-        findings = run_deep_sources({"src/repro/demo/state.py": src})
+        findings = scan({"src/repro/demo/state.py": src})
         assert rules_of(findings) == ["THR210"]
         f = findings[0]
         # Anchored at the least-protected write (the unlocked one).
@@ -70,7 +76,7 @@ def start():
     threading.Thread(target=bump_a).start()
     threading.Thread(target=bump_b).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
     def test_single_root_without_main_writer_is_clean(self):
         # One thread root, no main-path writer: no concurrency, no race.
@@ -86,7 +92,7 @@ def bump():
 def start():
     threading.Thread(target=bump).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
     def test_root_plus_main_writer_fires(self):
         src = THREADING_HEADER + """
@@ -106,7 +112,7 @@ def main_path_reset():
 def start():
     threading.Thread(target=bump).start()
 """
-        findings = run_deep_sources({"src/repro/demo/state.py": src})
+        findings = scan({"src/repro/demo/state.py": src})
         assert rules_of(findings) == ["THR210"]
         assert "main" in findings[0].message
 
@@ -135,7 +141,7 @@ def start():
     threading.Thread(target=writer_a).start()
     threading.Thread(target=writer_b).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
     def test_one_unlocked_call_path_defeats_entry_lockset(self):
         src = THREADING_HEADER + """
@@ -159,7 +165,7 @@ def start():
     threading.Thread(target=writer_a).start()
     threading.Thread(target=writer_b).start()
 """
-        findings = run_deep_sources({"src/repro/demo/state.py": src})
+        findings = scan({"src/repro/demo/state.py": src})
         assert rules_of(findings) == ["THR210"]
 
     def test_cross_module_write_sites(self):
@@ -187,7 +193,7 @@ def start():
     threading.Thread(target=locked_put).start()
     threading.Thread(target=unlocked_put).start()
 """
-        findings = run_deep_sources(
+        findings = scan(
             {
                 "src/repro/demo/writers.py": writers,
                 "src/repro/demo/spawn.py": spawner,
@@ -216,7 +222,86 @@ def start():
     threading.Thread(target=locked_bump).start()
     threading.Thread(target=unlocked_bump).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
+
+    def test_mutator_call_whose_result_is_used_fires(self):
+        # ``y = _cache.pop(k)`` writes _cache exactly as a bare
+        # ``_cache.pop(k)`` statement does.
+        src = """
+import threading
+
+_cache = {}
+
+
+def take_a(k):
+    y = _cache.pop(k)
+    return y
+
+
+def take_b(k):
+    y = _cache.pop(k)
+    return y
+
+
+def start():
+    threading.Thread(target=take_a).start()
+    threading.Thread(target=take_b).start()
+"""
+        findings = scan({"src/repro/demo/state.py": src})
+        assert rules_of(findings) == ["THR210"]
+        assert "_cache" in findings[0].message
+
+    def test_mutator_call_whose_result_is_used_under_lock_is_clean(self):
+        src = THREADING_HEADER + """
+_cache = {}
+
+
+def take_a(k):
+    with _lock:
+        y = _cache.pop(k)
+    return y
+
+
+def take_b(k):
+    with _lock:
+        y = _cache.pop(k)
+    return y
+
+
+def start():
+    threading.Thread(target=take_a).start()
+    threading.Thread(target=take_b).start()
+"""
+        assert scan({"src/repro/demo/state.py": src}) == []
+
+    def test_deque_and_in_place_sort_mutators_fire(self):
+        src = """
+import collections
+import threading
+
+_queue = collections.deque()
+_order = []
+
+
+def producer(x):
+    _queue.appendleft(x)
+    _order.sort()
+
+
+def consumer():
+    _order.reverse()
+    return _queue.popleft()
+
+
+def start():
+    threading.Thread(target=producer).start()
+    threading.Thread(target=consumer).start()
+"""
+        findings = scan({"src/repro/demo/state.py": src})
+        assert rules_of(findings) == ["THR210", "THR210"]
+        assert {f.extra["var"] for f in findings} == {
+            "repro.demo.state._queue", "repro.demo.state._order",
+        }
 
 
 LOCKS_HEADER = """
@@ -241,7 +326,7 @@ def backward():
         with _a:
             pass
 """
-        findings = run_deep_sources({"src/repro/demo/locks.py": src})
+        findings = scan({"src/repro/demo/locks.py": src})
         assert rules_of(findings) == ["THR211"]
         assert "lock-order inversion" in findings[0].message
         assert "_a" in findings[0].message and "_b" in findings[0].message
@@ -259,7 +344,7 @@ def also_forward():
         with _b:
             pass
 """
-        assert run_deep_sources({"src/repro/demo/locks.py": src}) == []
+        assert scan({"src/repro/demo/locks.py": src}) == []
 
     def test_abba_through_call_chain_fires(self):
         # Neither function nests two `with` blocks; the inversion only
@@ -284,7 +369,7 @@ def backward():
     with _b:
         take_a()
 """
-        findings = run_deep_sources({"src/repro/demo/locks.py": src})
+        findings = scan({"src/repro/demo/locks.py": src})
         assert rules_of(findings) == ["THR211"]
 
     def test_call_chain_consistent_order_is_clean(self):
@@ -303,7 +388,7 @@ def also_forward():
     with _a:
         take_b()
 """
-        assert run_deep_sources({"src/repro/demo/locks.py": src}) == []
+        assert scan({"src/repro/demo/locks.py": src}) == []
 
     def test_single_lock_reentry_not_reported(self):
         # A -> A is not an inversion (RLock reentry / sequential blocks).
@@ -314,7 +399,7 @@ def f():
     with _a:
         pass
 """
-        assert run_deep_sources({"src/repro/demo/locks.py": src}) == []
+        assert scan({"src/repro/demo/locks.py": src}) == []
 
     def test_one_finding_per_distinct_cycle(self):
         src = LOCKS_HEADER + """
@@ -335,7 +420,7 @@ def backward_again():
         with _a:
             pass
 """
-        findings = run_deep_sources({"src/repro/demo/locks.py": src})
+        findings = scan({"src/repro/demo/locks.py": src})
         assert rules_of(findings) == ["THR211"]
 
 
@@ -358,7 +443,7 @@ def run(x, w):
     a = prep(x)
     return pgemm(a, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
         f = findings[0]
         # Anchored at the taint point (the astype), naming the sink.
@@ -372,7 +457,7 @@ def run(x, w):
     a = np.ascontiguousarray(q, dtype=np.float32)
     return pgemm(a, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
         assert "dtype=float32" in findings[0].message
         assert findings[0].line == 8
@@ -384,7 +469,7 @@ def run(x, w):
     a = np.ascontiguousarray(q, dtype=np.float64)
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_float64_preserving_helper_is_clean(self):
         src = GEMM_IMPORT + """
@@ -397,7 +482,7 @@ def run(x, w):
     a = prep(x)
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_no_exact_provenance_is_clean(self):
         # Plain float math into pgemm is the normal fp32/fp64 path; only
@@ -407,7 +492,7 @@ def run(x, w):
     a = x / 3.0
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_division_of_exact_value_fires(self):
         src = GEMM_IMPORT + """
@@ -416,7 +501,7 @@ def run(x, w):
     a = q / 3
     return pgemm(a, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
         assert "division" in findings[0].message
 
@@ -431,7 +516,7 @@ def run(x, w):
     bad = q.astype(np.float32)
     return do_gemm(bad, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
 
     def test_exact_argument_into_gemm_calling_helper_is_clean(self):
@@ -444,7 +529,7 @@ def run(x, w):
     q = quantize_tensor(x)
     return do_gemm(q, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_value_preserving_reshape_keeps_exactness(self):
         src = GEMM_IMPORT + """
@@ -453,7 +538,7 @@ def run(x, w):
     a = np.ascontiguousarray(q.reshape(4, -1))
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_cross_module_taint_flow(self):
         prep = """
@@ -473,7 +558,7 @@ def run(x, w):
     a = prep(x)
     return pgemm(a, w)
 """
-        findings = run_deep_sources(
+        findings = scan(
             {
                 "src/repro/demo/prep.py": prep,
                 "src/repro/demo/runner.py": runner,

@@ -28,11 +28,11 @@ class TestSarifShape:
         doc = json.loads(render_sarif([], scanned=0))
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
         ids = {r["id"] for r in rules}
-        # Deep and shallow rules both present, with metadata.
+        # Whole-program and per-file rules both present, with metadata.
         assert {"THR210", "THR211", "DTY110", "THR201", "DTY101"} <= ids
         by_id = {r["id"]: r for r in rules}
-        assert by_id["THR210"]["properties"]["deep"] is True
-        assert by_id["THR201"]["properties"]["deep"] is False
+        assert by_id["THR210"]["properties"]["family"] == "threads"
+        assert by_id["DTY101"]["properties"]["family"] == "dtype"
         assert by_id["THR210"]["defaultConfiguration"]["level"] == "error"
         assert by_id["THR210"]["fullDescription"]["text"]
 

@@ -1,10 +1,9 @@
-"""Call-graph upgrades of the shallow rules under --deep.
+"""THR201 through the call graph.
 
-THR201 (unlocked mutation) is dropped when the mutating function's
-must-hold entry lockset proves a caller always holds the lock; THR203
-(pool without fork guard) is dropped when a transitive caller carries
-the ``os.getpid()`` probe.  Each upgrade has a negative twin proving the
-finding survives when the call-graph fact is absent.
+An unlocked write is not reported when the writing function's must-hold
+entry lockset proves every caller holds a lock.  Each case has a
+negative twin proving the finding survives when that call-graph fact is
+absent.
 """
 
 import textwrap
@@ -97,49 +96,3 @@ class TestThr201Upgrade:
                 bump(key)
         """)
         assert "THR201" in rules_of(findings)
-
-
-class TestThr203Upgrade:
-    def test_caller_with_getpid_guard_is_dropped(self, tree):
-        findings = _scan(tree, """
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = None
-        _POOL_PID = None
-
-
-        def _make_pool():
-            global _POOL
-            _POOL = ThreadPoolExecutor(max_workers=4)
-            return _POOL
-
-
-        def get_pool():
-            global _POOL_PID
-            if _POOL is None or _POOL_PID != os.getpid():
-                _POOL_PID = os.getpid()
-                return _make_pool()
-            return _POOL
-        """)
-        assert "THR203" not in rules_of(findings)
-
-    def test_no_guard_anywhere_keeps_the_finding(self, tree):
-        findings = _scan(tree, """
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = None
-
-
-        def _make_pool():
-            global _POOL
-            _POOL = ThreadPoolExecutor(max_workers=4)
-            return _POOL
-
-
-        def get_pool():
-            if _POOL is None:
-                return _make_pool()
-            return _POOL
-        """)
-        assert "THR203" in rules_of(findings)

@@ -114,21 +114,50 @@ class TestDTY102DtypeKeyword:
         assert scan(path.read_text(encoding="utf-8"), path=str(path)) == []
 
 
+#: DTY110 fixture: exact bit planes minted by quantize_tensor, combined
+#: by ``{expr}``, then fed to the pgemm sink.
+PLANE_FLOW = """
+from repro.core.gemm import pgemm
+
+
+def run(x, w, n, images):
+    q_high = quantize_tensor(x)
+    q_low = quantize_tensor(x)
+    cols_low = quantize_tensor(x)
+    out = {expr}
+    return pgemm(out, w)
+"""
+
+
+def plane_flow(expr):
+    return scan(PLANE_FLOW.format(expr=expr))
+
+
 class TestDTY103BitplaneFloatArith:
+    """The bit-plane arithmetic cases of the retired name-heuristic
+    DTY103, judged by DTY110's provenance flow: only values minted
+    exact and then degraded on their way to a GEMM are violations."""
+
     def test_fractional_constant_times_plane_flagged(self):
-        findings = scan("out = q_high * 0.5\n")
-        assert rules_of(findings) == ["DTY103"]
+        findings = plane_flow("q_high * 0.5")
+        assert rules_of(findings) == ["DTY110"]
+        # Anchored at the taint point, naming the sink.
+        assert findings[0].snippet == "out = q_high * 0.5"
+        assert "pgemm" in findings[0].message
 
     def test_division_on_plane_flagged(self):
-        assert rules_of(scan("out = cols_low / n\n")) == ["DTY103"]
+        findings = plane_flow("cols_low / n")
+        assert rules_of(findings) == ["DTY110"]
+        assert "division" in findings[0].message
 
     def test_integral_scale_is_clean(self):
         # Shifting planes by exact powers of two keeps integers exact.
-        assert scan("out = q_high * 4.0 + q_low\n") == []
+        assert plane_flow("q_high * 4.0 + q_low") == []
 
     def test_unrelated_names_clean(self):
-        assert scan("ratio = images * 0.5\n") == []
+        # Plain float math with no exact provenance is the fp GEMM path.
+        assert plane_flow("images * 0.5") == []
 
     def test_noqa_suppresses(self):
-        src = "deq = qw * 0.25  # repro: noqa[DTY103] — explicit dequantize scale\n"
-        assert scan(src) == []
+        expr = "q_high * 0.25  # repro: noqa[DTY110] — explicit dequantize scale"
+        assert plane_flow(expr) == []

@@ -37,6 +37,18 @@ class TestTHR201UnlockedModuleState:
         """
         assert rules_of(scan(src)) == ["THR201", "THR201"]
 
+    def test_write_in_nested_function_flagged(self):
+        # A closure's writes count, including a mutator whose result is used.
+        src = """
+        _CACHE = {}
+
+        def make_taker():
+            def take(k):
+                return _CACHE.pop(k)
+            return take
+        """
+        assert rules_of(scan(src)) == ["THR201"]
+
     def test_mutation_under_lock_is_clean(self):
         src = """
         import threading
@@ -111,45 +123,3 @@ class TestTHR202BareAcquire:
         # `.acquire()` on something that is not lock-named (e.g. a
         # connection pool) is out of scope for this rule.
         assert scan("def f(conn):\n    conn.acquire()\n") == []
-
-
-class TestTHR203PoolForkSafety:
-    def test_module_global_pool_flagged(self):
-        src = """
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = None
-
-        def get_pool():
-            global _POOL
-            _POOL = ThreadPoolExecutor(max_workers=4)
-            return _POOL
-        """
-        assert rules_of(scan(src)) == ["THR203"]
-
-    def test_pid_keyed_rebuild_is_clean(self):
-        src = """
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = None
-        _POOL_PID = None
-
-        def get_pool():
-            global _POOL, _POOL_PID
-            if _POOL is None or _POOL_PID != os.getpid():
-                _POOL = ThreadPoolExecutor(max_workers=4)
-                _POOL_PID = os.getpid()
-            return _POOL
-        """
-        assert scan(src) == []
-
-    def test_function_local_pool_is_clean(self):
-        src = """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run(tasks):
-            pool = ThreadPoolExecutor(max_workers=2)
-            return [pool.submit(t) for t in tasks]
-        """
-        assert scan(src) == []

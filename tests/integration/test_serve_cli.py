@@ -86,12 +86,17 @@ def test_serve_cli_round_trip():
 
 
 def test_serve_path_loads_only_the_serving_stack():
-    """``repro serve`` imports neither scipy nor the offline drivers."""
+    """``repro serve`` imports neither scipy, the offline drivers, nor the
+    analyzer's rules and whole-program analysis.  Building the CLI parser
+    imports ``repro.checks.cli`` for the ``check`` subcommand's flags;
+    everything behind it loads only when ``repro check`` runs."""
     code = (
         "import sys\n"
         "import repro.__main__, repro.serve.server, repro.serve.session\n"
+        "repro.__main__.build_parser()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-        " or m.startswith(('repro.analysis', 'repro.accel'))))\n"
+        " or m.startswith(('repro.analysis', 'repro.accel',"
+        " 'repro.checks.analysis', 'repro.checks.rules'))))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
