@@ -217,9 +217,9 @@ def _aggregate_records(engine) -> dict:
         rec = ex.record
         outputs += rec.outputs_total
         sensitive += rec.sensitive_total
-        rows += rec.extra.get("exec_rows_total", 0)
-        rows_computed += rec.extra.get("exec_rows_computed", 0)
-        for p, n in rec.extra.get("exec_path_calls", {}).items():
+        rows += rec.rows_total
+        rows_computed += rec.rows_computed
+        for p, n in rec.path_calls.items():
             path_calls[p] = path_calls.get(p, 0) + n
     return {
         "sensitive_ratio": sensitive / outputs if outputs else 0.0,

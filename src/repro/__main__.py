@@ -220,9 +220,34 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                              "warm-up baseline by more than this")
 
 
+#: glibc's ``mallopt`` parameter number for ``M_ARENA_MAX`` (malloc.h).
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena() -> None:
+    """Make every thread of this process allocate from glibc's main arena.
+
+    glibc gives each thread that contends for ``malloc`` an arena of its
+    own, and the serving threads' NumPy temporaries then fragment one
+    arena each: a 2-worker resnet20 server's peak RSS read anywhere from
+    134 to 168 MB as unrelated code changed the heap layout, against
+    110 MB with one arena.  NumPy allocates its arrays while holding the
+    GIL, so one arena costs no parallelism.  A no-op where the C library
+    has no ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def _cmd_serve(args) -> int:
     from repro.serve.server import InferenceServer
 
+    _one_malloc_arena()
     server = InferenceServer(_serve_config_from_args(args), verbose=args.verbose)
     server.start()
     console(f"repro.serve listening on {server.url}")

@@ -66,9 +66,9 @@ class LayerWorkload:
     sensitive_fraction: float = 0.0
     per_channel_sensitive: np.ndarray | None = None
     input_sensitive_fraction: float = 0.0
-    #: Result-generation census recorded by the software executor (see
-    #: ``ODQConvExecutor._note_exec_path``): output rows seen vs rows the
-    #: dispatched path actually computed, and the MACs of the gathered-row
+    #: Result-generation census recorded by the software executor (its
+    #: ``LayerRecord`` fields): output rows seen vs rows the dispatched
+    #: path actually computed, and the MACs of the gathered-row
     #: full-result GEMM.  ``0`` means "census not recorded" (old dumps,
     #: non-ODQ schemes) and preserves the channel-granular accounting.
     exec_rows_total: int = 0
@@ -89,8 +89,6 @@ class LayerWorkload:
 
     @classmethod
     def from_record(cls, rec: LayerRecord) -> "LayerWorkload":
-        extra = rec.extra
-        in_total = extra.get("input_total", 0)
         return cls(
             name=rec.info.name,
             in_channels=rec.info.in_channels,
@@ -103,11 +101,11 @@ class LayerWorkload:
             sensitive_fraction=rec.sensitive_fraction,
             per_channel_sensitive=rec.per_channel_sensitive,
             input_sensitive_fraction=(
-                extra.get("input_sensitive_total", 0) / in_total if in_total else 0.0
+                rec.input_sensitive_total / rec.input_total if rec.input_total else 0.0
             ),
-            exec_rows_total=int(extra.get("exec_rows_total", 0)),
-            exec_rows_computed=int(extra.get("exec_rows_computed", 0)),
-            exec_flops_full=int(extra.get("exec_flops_full", 0)),
+            exec_rows_total=rec.rows_total,
+            exec_rows_computed=rec.rows_computed,
+            exec_flops_full=rec.flops_full,
         )
 
 

@@ -132,21 +132,6 @@ class Project:
         s = self.summaries.get(module)
         return s.path if s is not None else module
 
-    def enclosing_function(self, path: str, line: int) -> FunctionRef | None:
-        """The function whose body spans ``line`` in ``path``."""
-        for module, summary in self.summaries.items():
-            if summary.path != path:
-                continue
-            best: FunctionRef | None = None
-            best_span = None
-            for qualname, fn in summary.functions.items():
-                if fn.line <= line <= fn.end_line:
-                    span = fn.end_line - fn.line
-                    if best_span is None or span < best_span:
-                        best, best_span = FunctionRef(module, qualname), span
-            return best
-        return None
-
     # -- resolution --------------------------------------------------------
 
     def _symbol_in_module(self, module: str, name: str) -> FunctionRef | None:

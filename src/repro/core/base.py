@@ -61,13 +61,30 @@ class ConvLayerInfo:
         )
 
 
+#: Executor phases timed on every layer call, in pipeline order; a
+#: phase's index addresses :attr:`LayerRecord.phase_ns` and
+#: :attr:`LayerRecord.phase_calls`.
+PHASES = ("quantize", "predict_partial", "mask", "full_result")
+QUANTIZE, PREDICT_PARTIAL, MASK, FULL_RESULT = range(len(PHASES))
+
+
 @dataclass
 class LayerRecord:
-    """Accumulated inference statistics for one conv layer.
+    """Accumulated inference statistics for one conv layer: the census.
 
     ``macs`` keys are precision classes interpreted by the accelerator
     simulator: ``int16``, ``int8``, ``int4``, ``drq_hi``, ``drq_lo``,
     ``pred_int2`` (ODQ predictor pass), ``exec_int4`` (ODQ executor pass).
+
+    ODQ calls also count their result-generation dispatch: calls per
+    path (``dense``/``sparse``), output rows seen and rows the chosen
+    path computed, and the full-result GEMM FLOPs spent against those
+    the dense path would spend.  DRQ counts the input activations it
+    saw and those it ran at high precision.  ``phase_ns`` and
+    ``phase_calls`` hold wall time and call counts per :data:`PHASES`
+    entry (ODQ times all four, static quantization ``quantize`` and
+    ``full_result``).  ``extra`` holds opt-in captures only:
+    ``last_input``, ``last_input_mask`` and ``partial_abs_samples``.
     """
 
     info: ConvLayerInfo
@@ -79,6 +96,15 @@ class LayerRecord:
     last_mask: SensitivityMask | None = None
     out_h: int = 0
     out_w: int = 0
+    path_calls: Counter = field(default_factory=Counter)
+    rows_total: int = 0
+    rows_computed: int = 0
+    flops_full: int = 0
+    flops_full_dense: int = 0
+    input_total: int = 0
+    input_sensitive_total: int = 0
+    phase_ns: list = field(default_factory=lambda: [0] * len(PHASES))
+    phase_calls: list = field(default_factory=lambda: [0] * len(PHASES))
     extra: dict = field(default_factory=dict)
 
     @property
@@ -89,10 +115,6 @@ class LayerRecord:
     def insensitive_fraction(self) -> float:
         return 1.0 - self.sensitive_fraction
 
-    @property
-    def outputs_per_image(self) -> int:
-        return self.out_h * self.out_w * self.info.out_channels
-
     def add_mask(self, mask: SensitivityMask) -> None:
         self.sensitive_total += mask.sensitive_count
         counts = mask.per_channel_counts()
@@ -101,6 +123,11 @@ class LayerRecord:
         else:
             self.per_channel_sensitive = self.per_channel_sensitive + counts
         self.last_mask = mask
+
+    def add_phase(self, phase: int, ns: int) -> None:
+        """Count one call of ``phase`` that took ``ns`` nanoseconds."""
+        self.phase_ns[phase] += ns
+        self.phase_calls[phase] += 1
 
 
 class ConvExecutor:
@@ -202,6 +229,7 @@ def int_conv2d(
 
 
 __all__ = [
+    "PHASES",
     "ConvLayerInfo",
     "LayerRecord",
     "ConvExecutor",

@@ -201,10 +201,8 @@ class DRQConvExecutor(ConvExecutor):
         # Track input sensitivity as a mask record (broadcast to channels
         # only logically; stored at (N,1,H,W) to stay compact).
         smask = SensitivityMask(mask, float(self.threshold))
-        self.record.extra.setdefault("input_sensitive_total", 0)
-        self.record.extra.setdefault("input_total", 0)
-        self.record.extra["input_sensitive_total"] += int(mask.sum()) * self.info.in_channels
-        self.record.extra["input_total"] += mask.size * self.info.in_channels
+        self.record.input_sensitive_total += int(mask.sum()) * self.info.in_channels
+        self.record.input_total += mask.size * self.info.in_channels
         if self.keep_masks:
             self.record.extra["last_input_mask"] = smask
         return out

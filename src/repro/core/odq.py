@@ -58,6 +58,7 @@ all call it with their own operands and GEMM callables.
 
 from __future__ import annotations
 
+from time import perf_counter_ns
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -191,13 +192,15 @@ def odq_conv(
     GEMM; both default to :func:`~repro.core.gemm.pgemm`.
 
     With ``ex``, the call is accounted on that executor's record: shapes,
-    the mask, the exec-path census, MACs and, when the executor collects
-    them, partial-magnitude samples.  The sparse path scatters the exact
-    rows into the partial in place unless ``keep_partial`` is set.
+    the mask, the exec-path census, MACs, the wall time of each of the
+    four phases (quantize, predict_partial, mask, full_result) and, when
+    the executor collects them, partial-magnitude samples (timed with
+    the mask).  The sparse path scatters the exact rows into the partial
+    in place unless ``keep_partial`` is set.
 
-    Emits the ``odq.run`` span with ``odq.quantize`` /
-    ``odq.predict_partial`` / ``odq.mask`` / ``odq.full_result`` phases
-    (no-ops while tracing is off).
+    Emits one ``odq.run`` span carrying ``layer``, ``path`` and the
+    call's phase durations (``quantize_ns`` … ``full_result_ns``); a
+    no-op while tracing is off.
     """
     mm = pgemm if gemm is None else gemm
     mm_rows = pgemm if gemm_rows is None else gemm_rows
@@ -207,74 +210,68 @@ def odq_conv(
     ckk, c_out = packed.wmat_full.shape
 
     with trace.span("odq.run", layer=name) as sp:
-        with trace.span("odq.quantize", layer=name):
-            cache = prep(x)
+        t0 = perf_counter_ns()
+        cache = prep(x)
+        t1 = perf_counter_ns()
         scale = cache.qp_a.scale * w_scale
-        with trace.span("odq.predict_partial", layer=name):
-            partial2d = _partial_2d(cache, packed, scale, bias2d, mm)
-            partial = cache.to_nchw(partial2d)
+        partial2d = _partial_2d(cache, packed, scale, bias2d, mm)
+        partial = cache.to_nchw(partial2d)
+        t2 = perf_counter_ns()
         if ex is not None and ex.collect_partials:
             flat = np.abs(partial).reshape(-1)
             step = max(1, flat.size // 4096)
             ex.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
-        with trace.span("odq.mask", layer=name):
-            mask = mask_from_magnitude(partial, threshold)
-            # Row = one spatial output position; a row is computed by
-            # the sparse path when *any* of its channels is sensitive.
-            sel = np.flatnonzero(mask.sensitive_positions())
-            n_sense_rows = sel.size
+        mask = mask_from_magnitude(partial, threshold)
+        # Row = one spatial output position; a row is computed by the
+        # sparse path when *any* of its channels is sensitive.
+        sel = np.flatnonzero(mask.sensitive_positions())
+        n_sense_rows = sel.size
+        t3 = perf_counter_ns()
 
         path = exec_path
         if path == "auto":
             path = "sparse" if n_sense_rows <= crossover * cache.rows else "dense"
-
-        with trace.span("odq.full_result", layer=name, path=path) as fsp:
-            if path == "dense":
-                full = cache.to_nchw(
-                    _full_2d(cache, cache.cols, packed, scale, bias2d, mm)
+        if path == "dense":
+            full = cache.to_nchw(
+                _full_2d(cache, cache.cols, packed, scale, bias2d, mm)
+            )
+            out = np.where(mask.mask, full, partial)
+            rows_computed = cache.rows
+        else:
+            full = None
+            out2d = partial2d.copy() if keep_partial else partial2d
+            if n_sense_rows:
+                full_rows = _full_2d(
+                    cache, cache.full_rows(sel), packed, scale, bias2d, mm_rows
                 )
-                out = np.where(mask.mask, full, partial)
-                rows_computed = cache.rows
-            else:
-                full = None
-                out2d = partial2d.copy() if keep_partial else partial2d
-                if n_sense_rows:
-                    full_rows = _full_2d(
-                        cache, cache.full_rows(sel), packed, scale, bias2d, mm_rows
-                    )
-                    # The mask's selected rows, (R, C_out): by_channel's
-                    # positions are in row order.
-                    mask_rows = mask.by_channel[:, sel].T
-                    out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-                out = cache.to_nchw(out2d)
-                rows_computed = n_sense_rows
-            flops_full = rows_computed * ckk * c_out
-            flops_full_dense = cache.rows * ckk * c_out
-            fsp.add("rows", cache.rows)
-            fsp.add("rows_computed", rows_computed)
-            fsp.add("flops_full", flops_full)
-            fsp.add("flops_full_dense", flops_full_dense)
+                # The mask's selected rows, (R, C_out): by_channel's
+                # positions are in row order.
+                mask_rows = mask.by_channel[:, sel].T
+                out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
+            out = cache.to_nchw(out2d)
+            rows_computed = n_sense_rows
+        t4 = perf_counter_ns()
 
-        # One output costs C_in*K*K MACs: the predictor's INT2 stream runs
-        # over every output, the executor's remaining cross terms only
-        # over the sensitive ones.
-        n_out = partial.size
-        n_sensitive = mask.sensitive_count
+        phase_ns = (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         if ex is not None:
             rec = ex.record
             rec.add_mask(mask)
             if not ex.keep_masks:
                 rec.last_mask = None
-            ex._note_exec_path(path, cache.rows, rows_computed,
-                               flops_full, flops_full_dense)
-            rec.macs["pred_int2"] += n_out * ckk
-            rec.macs["exec_int4"] += n_sensitive * ckk
-        sp.set(path=path)
-        sp.add("outputs", n_out)
-        sp.add("sensitive", n_sensitive)
-        sp.add("macs_pred", n_out * ckk)
-        sp.add("macs_exec", n_sensitive * ckk)
-        sp.add("macs_skipped", (n_out - n_sensitive) * ckk)
+            rec.path_calls[path] += 1
+            rec.rows_total += cache.rows
+            rec.rows_computed += rows_computed
+            rec.flops_full += rows_computed * ckk * c_out
+            rec.flops_full_dense += cache.rows * ckk * c_out
+            # One output costs C_in*K*K MACs: the predictor's INT2 stream
+            # runs over every output, the executor's remaining cross
+            # terms only over the sensitive ones.
+            rec.macs["pred_int2"] += partial.size * ckk
+            rec.macs["exec_int4"] += mask.sensitive_count * ckk
+            for phase, ns in enumerate(phase_ns):
+                rec.add_phase(phase, ns)
+        sp.set(path=path, quantize_ns=phase_ns[0], predict_partial_ns=phase_ns[1],
+               mask_ns=phase_ns[2], full_result_ns=phase_ns[3])
     return ConvResult(out, mask, partial, full, path, cache)
 
 
@@ -495,8 +492,7 @@ class ODQConvExecutor(ConvExecutor):
         constants, so its magnitude is directly comparable to the final
         output feature.
         """
-        with trace.span("odq.quantize", layer=self.info.name):
-            cache = self._build_cache(x)
+        cache = self._build_cache(x)
         scale = cache.qp_a.scale * self.qp_w.scale
         return cache.to_nchw(
             _partial_2d(cache, self._packed, scale, self._bias2d(), pgemm)
@@ -519,21 +515,6 @@ class ODQConvExecutor(ConvExecutor):
             self.effective_threshold, self.exec_path, self.sparse_crossover,
             ex=self,
         ).out
-
-    def _note_exec_path(self, path: str, rows: int, rows_computed: int,
-                        flops_full: int, flops_full_dense: int) -> None:
-        """Accumulate dispatch statistics on the layer record."""
-        extra = self.record.extra
-        counts = extra.setdefault("exec_path_calls", {})
-        counts[path] = counts.get(path, 0) + 1
-        extra["exec_rows_total"] = extra.get("exec_rows_total", 0) + rows
-        extra["exec_rows_computed"] = (
-            extra.get("exec_rows_computed", 0) + rows_computed
-        )
-        extra["exec_flops_full"] = extra.get("exec_flops_full", 0) + flops_full
-        extra["exec_flops_full_dense"] = (
-            extra.get("exec_flops_full_dense", 0) + flops_full_dense
-        )
 
     # -- introspection ---------------------------------------------------------------
 

@@ -338,12 +338,6 @@ class QuantizedInferenceEngine:
             for ex in self.executors.values():
                 ex.record = LayerRecord(info=ex.info)
 
-    def per_layer_sensitive_fraction(self) -> "OrderedDict[str, float]":
-        """Output-sensitive mask density per layer (serving ``/metrics``)."""
-        return OrderedDict(
-            (name, rec.sensitive_fraction) for name, rec in self.records.items()
-        )
-
     def total_macs(self) -> dict[str, int]:
         """Aggregate MAC counts by precision class across all layers."""
         totals: dict[str, int] = {}

@@ -15,8 +15,8 @@ what the unplanned path re-derives on every call:
 A planned conv step is only a binder: it runs the same
 :func:`repro.core.odq.odq_conv` kernel as ``ODQConvExecutor.run``, so
 the ODQ numerics, record upkeep (masks, per-channel counts, exec-path
-census, MACs) and ``odq.*`` spans are one implementation, and a traced
-run times the planned path that serves.
+census, MACs, phase times) and the ``odq.run`` span are one
+implementation, and a traced run times the planned path that serves.
 
 Two plan modes:
 

@@ -7,9 +7,11 @@ fixed width, and every MAC runs at that width.
 
 from __future__ import annotations
 
+from time import perf_counter_ns
+
 import numpy as np
 
-from repro.core.base import ConvExecutor, int_conv2d
+from repro.core.base import FULL_RESULT, QUANTIZE, ConvExecutor, int_conv2d
 from repro.nn.layers import Conv2d
 from repro.obs import trace
 from repro.quant.observer import MinMaxObserver, Observer
@@ -73,20 +75,22 @@ class StaticQuantConvExecutor(ConvExecutor):
         if not self.frozen:
             raise RuntimeError(f"executor {self.info.name} not frozen; calibrate first")
         self._note_shapes(x)
-        name = self.info.name
-        with trace.span("static.run", layer=name, bits=self.bits) as sp:
-            with trace.span("static.quantize", layer=name):
-                q = quantize(x, self.qp_a)
-            with trace.span("static.full_result", layer=name):
-                acc = int_conv2d(q, self._qw, self.conv.stride, self.conv.padding,
-                                 pad_value=self.qp_a.zero_point)
+        with trace.span("static.run", layer=self.info.name, bits=self.bits) as sp:
+            t0 = perf_counter_ns()
+            q = quantize(x, self.qp_a)
+            t1 = perf_counter_ns()
+            acc = int_conv2d(q, self._qw, self.conv.stride, self.conv.padding,
+                             pad_value=self.qp_a.zero_point)
             out = self.qp_a.scale * self.qp_w.scale * (acc - self.qp_a.zero_point * self._w_sum)
             if self.conv.bias is not None:
                 out = out + self.conv.bias.data.reshape(1, -1, 1, 1)
-            macs = x.shape[0] * self.record.out_h \
-                * self.record.out_w * self.info.out_channels * self.info.macs_per_output
-            self.record.macs[self.mac_key] += macs
-            sp.add("macs_exec", macs)
+            t2 = perf_counter_ns()
+            rec = self.record
+            rec.macs[self.mac_key] += x.shape[0] * rec.out_h \
+                * rec.out_w * self.info.out_channels * self.info.macs_per_output
+            rec.add_phase(QUANTIZE, t1 - t0)
+            rec.add_phase(FULL_RESULT, t2 - t1)
+            sp.set(quantize_ns=t1 - t0, full_result_ns=t2 - t1)
         return out
 
 

@@ -8,7 +8,7 @@ threshold stops being representative — accuracy and the dense/sparse
 cost model both degrade silently.
 
 :class:`DriftMonitor` watches the per-layer samples the thread-pool
-workers publish after each batch: it keeps an EWMA of each layer's
+workers take from each batch they run: it keeps an EWMA of each layer's
 ``sensitive_ratio`` and of its exec-path mix (sparse-path fraction of
 dispatch calls), compares them against a baseline (the serving
 session's warm-up ratios on held-out images), and
@@ -83,10 +83,10 @@ class DriftMonitor:
         """Fold one batch of per-layer samples into the EWMAs.
 
         ``samples`` maps layer name to a dict with optional keys
-        ``sensitive_ratio`` (float) and ``path_calls`` ({path: count});
-        this is the shape :meth:`repro.serve.worker.WorkerPool._publish_layer_densities`
-        builds from the layer densities and the exec census.
-        Thread-safe.
+        ``sensitive_ratio`` (float) and ``path_calls`` ({path: count}),
+        both over one batch: the serving workers pass each batch's own
+        numbers, so a sustained shift moves the EWMA at rate ``alpha``
+        whatever the uptime.  Thread-safe.
         """
         updates: list[tuple[str, float, float, float | None, bool, bool]] = []
         with self._lock:
@@ -173,11 +173,11 @@ class DriftMonitor:
 
 
 def _sparse_fraction(path_calls: dict | None) -> float | None:
-    """Fraction of dispatch calls that took a sparse-skipping path.
+    """Fraction of dispatch calls that took the sparse path.
 
-    Path names come from the engine's result-generation dispatcher
-    (e.g. ``dense``, ``sparse_gather``, ``sparse_skip``); anything not
-    named ``dense`` counts as sparse.
+    Path names are the ODQ result-generation paths that ran (``dense``
+    or ``sparse``; ``auto`` resolves to one of them per call); anything
+    not named ``dense`` counts as sparse.
     """
     if not path_calls:
         return None

@@ -1,11 +1,12 @@
 """Phase-level profiling of the quantized-inference pipeline.
 
-Turns a span trace (see :mod:`repro.obs.trace`) plus the engine's
-per-layer :class:`~repro.core.base.LayerRecord` statistics into the
-paper-style accounting the motivation study needs at runtime:
+Turns the engine's per-layer :class:`~repro.core.base.LayerRecord`
+census into the paper-style accounting the motivation study needs at
+runtime:
 
 * per layer × phase (``quantize``, ``predict_partial``, ``mask``,
-  ``full_result``) wall-clock totals and per-call distributions;
+  ``full_result``) calls and wall-clock totals, which the executors
+  record on every call, tracing on or off;
 * MACs computed (predictor INT2 + executor INT4) vs. MACs *skipped*
   (the dense-INT4 work ODQ's insensitive outputs avoided);
 * per-layer sensitive ratio (the knob Figs. 9-11 sweep);
@@ -15,271 +16,126 @@ paper-style accounting the motivation study needs at runtime:
   FLOP count, reconciling ``macs_skipped`` against wall-clock reality.
 
 :func:`profile_inference` is the driver behind ``repro profile``: it
-builds a model session, enables the tracer, streams a few batches
-through the engine, and returns a :class:`ProfileResult` whose
+builds a model session, streams a few batches through the engine with
+the tracer on, and returns a :class:`ProfileResult` whose
 ``report.render()`` is the terminal artefact and whose ``spans`` feed
-the JSONL / Chrome exporters.
+the flame view and the JSONL / Chrome exporters.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from repro.obs.hist import Histogram
+from repro.core.base import FULL_RESULT, PHASES, LayerRecord
 from repro.obs.trace import SpanRecord
 from repro.obs.exporters import ascii_rollup
 from repro.utils.report import ascii_table, format_percent
 
-#: Executor phases reported per layer, in pipeline order.
-PHASES = ("quantize", "predict_partial", "mask", "full_result")
+
+def macs_skipped(rec: LayerRecord) -> int:
+    """Dense-INT4 MACs the layer's insensitive outputs did not run."""
+    return (rec.outputs_total - rec.sensitive_total) * rec.info.macs_per_output
 
 
-@dataclass
-class PhaseStat:
-    """Aggregated timing of one (layer, phase) cell."""
-
-    layer: str
-    phase: str
-    calls: int = 0
-    total_us: float = 0.0
-    hist: Histogram = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.hist is None:
-            self.hist = Histogram(f"{self.layer}.{self.phase}_ms", reservoir=1024)
-
-    def add(self, duration_us: float) -> None:
-        self.calls += 1
-        self.total_us += duration_us
-        self.hist.observe(duration_us / 1000.0)
-
-    @property
-    def total_ms(self) -> float:
-        return self.total_us / 1000.0
-
-    @property
-    def mean_ms(self) -> float:
-        return self.total_ms / self.calls if self.calls else 0.0
+def skip_ratio(rec: LayerRecord) -> float:
+    """Skipped share of the layer's dense-INT4 result-generation MACs."""
+    skipped = macs_skipped(rec)
+    dense = rec.macs.get("exec_int4", 0) + skipped
+    return skipped / dense if dense else 0.0
 
 
-@dataclass
-class LayerProfile:
-    """Everything the report knows about one conv layer."""
+def path_summary(rec: LayerRecord) -> str:
+    """Human-readable dispatch census: ``dense``, ``sparse``, or a mix."""
+    if not rec.path_calls:
+        return "-"
+    if len(rec.path_calls) == 1:
+        return next(iter(rec.path_calls))
+    return "|".join(f"{p}:{n}" for p, n in sorted(rec.path_calls.items()))
 
-    name: str
-    phases: "OrderedDict[str, PhaseStat]" = field(default_factory=OrderedDict)
-    macs_pred: int = 0
-    macs_exec: int = 0
-    macs_skipped: int = 0
-    outputs: int = 0
-    sensitive: int = 0
-    #: Result-generation dispatch census (``{"dense": n, "sparse": m}``).
-    path_calls: dict = field(default_factory=dict)
-    rows: int = 0            #: spatial output rows seen by full_result
-    rows_computed: int = 0   #: rows the chosen path actually computed
-    flops_full: int = 0          #: full-result GEMM FLOPs actually spent
-    flops_full_dense: int = 0    #: FLOPs the dense path would have spent
 
-    def phase(self, phase: str) -> PhaseStat:
-        stat = self.phases.get(phase)
-        if stat is None:
-            stat = self.phases[phase] = PhaseStat(self.name, phase)
-        return stat
+def effective_speedup(rec: LayerRecord) -> float | None:
+    """Measured end-to-end speedup the chosen path delivered.
 
-    @property
-    def total_ms(self) -> float:
-        return sum(p.total_ms for p in self.phases.values())
+    Re-prices the measured ``full_result`` phase time at the dense
+    path's FLOP count and compares against the layer's actual total:
 
-    @property
-    def sensitive_ratio(self) -> float:
-        return self.sensitive / self.outputs if self.outputs else 0.0
+    ``(other_phases + full * flops_dense / flops_actual) / total``
 
-    @property
-    def macs_computed(self) -> int:
-        return self.macs_pred + self.macs_exec
-
-    @property
-    def skip_ratio(self) -> float:
-        dense = self.macs_exec + self.macs_skipped
-        return self.macs_skipped / dense if dense else 0.0
-
-    @property
-    def exec_path_summary(self) -> str:
-        """Human-readable dispatch census: ``dense``, ``sparse``, or a mix."""
-        if not self.path_calls:
-            return "-"
-        if len(self.path_calls) == 1:
-            return next(iter(self.path_calls))
-        return "|".join(
-            f"{p}:{n}" for p, n in sorted(self.path_calls.items())
-        )
-
-    @property
-    def effective_speedup(self) -> float | None:
-        """Measured end-to-end speedup the chosen path delivered.
-
-        Re-prices the measured ``full_result`` phase time at the dense
-        path's FLOP count and compares against the layer's actual total:
-
-        ``(other_phases_ms + full_ms * flops_dense / flops_actual)
-        / total_ms``
-
-        This reconciles the *theoretical* ``macs_skipped`` census with
-        wall-clock reality — gather/scatter overhead and the sparse
-        GEMM's doubled operand width both show up here, so the column
-        reads below the skip ratio at high density and near ``1.00x``
-        for the dense path.  ``None`` when the layer never ran the
-        instrumented full-result phase (or it spent zero FLOPs).
-        """
-        full = self.phases.get("full_result")
-        if (
-            full is None
-            or full.total_ms <= 0.0
-            or self.total_ms <= 0.0
-            or self.flops_full <= 0
-            or self.flops_full_dense <= 0
-        ):
-            return None
-        dense_full_ms = full.total_ms * (self.flops_full_dense / self.flops_full)
-        other_ms = self.total_ms - full.total_ms
-        return (other_ms + dense_full_ms) / self.total_ms
+    This reconciles the *theoretical* ``macs_skipped`` census with
+    wall-clock reality — gather/scatter overhead and the sparse
+    GEMM's doubled operand width both show up here, so the column
+    reads below the skip ratio at high density and near ``1.00x``
+    for the dense path.  ``None`` when the layer never timed a
+    full-result phase (or it spent zero FLOPs).
+    """
+    total = sum(rec.phase_ns)
+    full = rec.phase_ns[FULL_RESULT]
+    if full <= 0 or rec.flops_full <= 0 or rec.flops_full_dense <= 0:
+        return None
+    dense_full = full * rec.flops_full_dense / rec.flops_full
+    return (total - full + dense_full) / total
 
 
 class ProfileReport:
-    """Per-layer, per-phase rollup of one traced inference run."""
+    """Per-layer, per-phase rollup of the engine's layer records.
 
-    def __init__(self):
-        self.layers: "OrderedDict[str, LayerProfile]" = OrderedDict()
-        self.spans: list[SpanRecord] = []
+    ``spans`` (optional) are kept only for :meth:`render_flame`; every
+    number in :meth:`render` comes from the records.
+    """
 
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_spans(cls, spans: Sequence[SpanRecord], records=None) -> "ProfileReport":
-        """Build the report from finished spans (+ optional engine records).
-
-        Phase timing comes from ``odq.<phase>`` spans carrying a ``layer``
-        attribute (any executor emitting that shape participates — the
-        static/DRQ executors emit ``quantize``/``full_result`` only).
-        MAC and sensitivity accounting comes from the span counters and,
-        when given, the engine's ``records`` mapping overrides them with
-        the exact census.
-        """
-        report = cls()
-        report.spans = list(spans)
-        for s in report.spans:
-            layer_name = s.attrs.get("layer")
-            if layer_name is None:
-                continue
-            prefix, _, phase = s.name.rpartition(".")
-            if prefix not in ("odq", "static", "drq"):
-                continue
-            layer = report._layer(layer_name)
-            if phase in PHASES:
-                layer.phase(phase).add(s.duration_us)
-            if phase == "full_result":
-                path = s.attrs.get("path")
-                if path is not None:
-                    layer.path_calls[path] = layer.path_calls.get(path, 0) + 1
-                if s.counters:
-                    layer.rows += int(s.counters.get("rows", 0))
-                    layer.rows_computed += int(s.counters.get("rows_computed", 0))
-                    layer.flops_full += int(s.counters.get("flops_full", 0))
-                    layer.flops_full_dense += int(
-                        s.counters.get("flops_full_dense", 0)
-                    )
-            if s.counters:
-                layer.macs_pred += int(s.counters.get("macs_pred", 0))
-                layer.macs_exec += int(s.counters.get("macs_exec", 0))
-                layer.macs_skipped += int(s.counters.get("macs_skipped", 0))
-                layer.outputs += int(s.counters.get("outputs", 0))
-                layer.sensitive += int(s.counters.get("sensitive", 0))
-        if records is not None:
-            report._merge_records(records)
-        return report
-
-    def _layer(self, name: str) -> LayerProfile:
-        layer = self.layers.get(name)
-        if layer is None:
-            layer = self.layers[name] = LayerProfile(name)
-        return layer
-
-    def _merge_records(self, records) -> None:
-        """Overwrite MAC/sensitivity tallies with the engine's exact census."""
-        for name, rec in records.items():
-            layer = self._layer(name)
-            layer.macs_pred = int(rec.macs.get("pred_int2", 0))
-            layer.macs_exec = int(rec.macs.get("exec_int4", 0))
-            layer.outputs = int(rec.outputs_total)
-            layer.sensitive = int(rec.sensitive_total)
-            insensitive = rec.outputs_total - rec.sensitive_total
-            layer.macs_skipped = int(insensitive * rec.info.macs_per_output)
-            extra = getattr(rec, "extra", None) or {}
-            if "exec_path_calls" in extra:
-                layer.path_calls = dict(extra["exec_path_calls"])
-                layer.rows = int(extra.get("exec_rows_total", layer.rows))
-                layer.rows_computed = int(
-                    extra.get("exec_rows_computed", layer.rows_computed)
-                )
-                layer.flops_full = int(
-                    extra.get("exec_flops_full", layer.flops_full)
-                )
-                layer.flops_full_dense = int(
-                    extra.get("exec_flops_full_dense", layer.flops_full_dense)
-                )
-
-    # -- rendering -----------------------------------------------------------
+    def __init__(self, records: Mapping[str, LayerRecord],
+                 spans: Sequence[SpanRecord] = ()):
+        self.layers: "OrderedDict[str, LayerRecord]" = OrderedDict(records)
+        self.spans = list(spans)
 
     @property
     def total_ms(self) -> float:
-        return sum(l.total_ms for l in self.layers.values())
+        return sum(sum(rec.phase_ns) for rec in self.layers.values()) / 1e6
 
     def phase_totals(self) -> "OrderedDict[str, float]":
-        """Network-wide total milliseconds per phase."""
-        totals: "OrderedDict[str, float]" = OrderedDict((p, 0.0) for p in PHASES)
-        for layer in self.layers.values():
-            for phase, stat in layer.phases.items():
-                totals[phase] = totals.get(phase, 0.0) + stat.total_ms
-        return OrderedDict((p, t) for p, t in totals.items() if t > 0.0)
+        """Network-wide total milliseconds per phase (timed phases only)."""
+        totals = (
+            (phase, sum(rec.phase_ns[i] for rec in self.layers.values()) / 1e6)
+            for i, phase in enumerate(PHASES)
+        )
+        return OrderedDict((p, t) for p, t in totals if t > 0.0)
 
     def render(self, title: str = "per-layer phase profile") -> str:
         """The terminal artefact: phase-timing + MAC tables + phase split."""
         grand = self.total_ms or 1.0
-        timing_rows = []
-        for layer in self.layers.values():
-            for phase in PHASES:
-                stat = layer.phases.get(phase)
-                if stat is None:
-                    continue
-                timing_rows.append([
-                    layer.name,
-                    phase,
-                    stat.calls,
-                    f"{stat.total_ms:.3f}",
-                    f"{stat.mean_ms:.3f}",
-                    f"{stat.hist.percentile(95):.3f}",
-                    format_percent(stat.total_ms / grand),
-                ])
+        timing_rows = [
+            [
+                name,
+                phase,
+                calls,
+                f"{rec.phase_ns[i] / 1e6:.3f}",
+                f"{rec.phase_ns[i] / 1e6 / calls:.3f}",
+                format_percent(rec.phase_ns[i] / 1e6 / grand),
+            ]
+            for name, rec in self.layers.items()
+            for i, (phase, calls) in enumerate(zip(PHASES, rec.phase_calls))
+            if calls
+        ]
         parts = []
         if timing_rows:
             parts.append(ascii_table(
-                ["layer", "phase", "calls", "total ms", "mean ms", "p95 ms", "share"],
+                ["layer", "phase", "calls", "total ms", "mean ms", "share"],
                 timing_rows,
                 title=title,
             ))
         mac_rows = [
             [
-                layer.name,
-                format_percent(layer.sensitive_ratio),
-                f"{layer.macs_pred:,}",
-                f"{layer.macs_exec:,}",
-                f"{layer.macs_skipped:,}",
-                format_percent(layer.skip_ratio),
+                name,
+                format_percent(rec.sensitive_fraction),
+                f"{rec.macs.get('pred_int2', 0):,}",
+                f"{rec.macs.get('exec_int4', 0):,}",
+                f"{macs_skipped(rec):,}",
+                format_percent(skip_ratio(rec)),
             ]
-            for layer in self.layers.values()
-            if layer.outputs or layer.macs_computed
+            for name, rec in self.layers.items()
+            if "pred_int2" in rec.macs  # ODQ layers: the others skip nothing
         ]
         if mac_rows:
             parts.append(ascii_table(
@@ -289,19 +145,19 @@ class ProfileReport:
                 title="MAC census (computed vs skipped)",
             ))
         path_rows = []
-        for layer in self.layers.values():
-            if not layer.path_calls:
+        for name, rec in self.layers.items():
+            if not rec.path_calls:
                 continue
-            speedup = layer.effective_speedup
+            speedup = effective_speedup(rec)
             flop_share = (
-                format_percent(layer.flops_full / layer.flops_full_dense)
-                if layer.flops_full_dense
+                format_percent(rec.flops_full / rec.flops_full_dense)
+                if rec.flops_full_dense
                 else "-"
             )
             path_rows.append([
-                layer.name,
-                layer.exec_path_summary,
-                f"{layer.rows_computed:,}/{layer.rows:,}",
+                name,
+                path_summary(rec),
+                f"{rec.rows_computed:,}/{rec.rows_total:,}",
                 flop_share,
                 "-" if speedup is None else f"{speedup:.2f}x",
             ])
@@ -400,15 +256,14 @@ def profile_inference(
     """Build a session, trace ``batches`` inference batches, report.
 
     Reuses :class:`~repro.serve.session.ModelSession` so the profiled
-    pipeline is byte-identical to what serving runs.  The tracer is
-    enabled only around the measured ``infer`` calls — session build and
-    calibration are traced too (they appear in the flame view) but the
-    per-phase report counts only ``run``-mode spans because calibration
-    executes the FP reference path, not the ODQ phases.
+    pipeline is byte-identical to what serving runs.  The report reads
+    the engine's layer records, reset after the session build, so it
+    covers exactly the measured ``infer`` calls; the tracer is on around
+    those calls only to feed the flame view and trace export.
 
     With ``use_plan`` (the default) the compiled-plan table is appended
-    to the report, and the per-phase spans time the planned conv steps
-    that serve (they run the executor's own kernel).
+    to the report, and the phase times are those of the planned conv
+    steps that serve (they run the executor's own kernel).
     ``use_plan=False`` (``--no-plan``) profiles the legacy per-call path.
     """
     import time as _time
@@ -451,7 +306,7 @@ def profile_inference(
         spans = tracer.spans()
 
     records = engine.records
-    report = ProfileReport.from_spans(spans, records)
+    report = ProfileReport(records, spans)
     return ProfileResult(
         report=report,
         spans=spans,
@@ -466,8 +321,6 @@ def profile_inference(
 
 __all__ = [
     "PHASES",
-    "PhaseStat",
-    "LayerProfile",
     "ProfileReport",
     "ProfileResult",
     "profile_inference",

@@ -4,8 +4,9 @@ The paper's whole argument is about *where time goes* — sensitivity
 prediction vs. result generation, predictor/executor pipeline balance,
 PE idleness.  This module gives the repro first-class runtime visibility
 into exactly that: nested, named **spans** with wall-clock timing,
-attached attributes (layer name, batch size, …) and numeric counters
-(MACs computed, MACs skipped, sensitive outputs).
+attached attributes (layer name, batch size, a call's phase
+durations, …) and numeric counters (simulated cycles, training loss).
+Per-layer census counts live on the engine's layer records, not here.
 
 Design constraints (in priority order):
 
@@ -15,7 +16,7 @@ Design constraints (in priority order):
    dict can guard with :func:`enabled`.
 2. **Thread-correct.**  Span stacks are thread-local, so the serving
    worker pool's per-thread ``worker → engine.infer → engine.layer →
-   odq.*`` nesting comes out right without any coordination; only the
+   odq.run`` nesting comes out right without any coordination; only the
    append of a *finished* span record takes a lock.
 3. **Bounded memory.**  Finished spans go into a capped ring; overflow
    increments ``dropped`` instead of growing without bound under
@@ -25,9 +26,9 @@ Usage::
 
     from repro.obs import trace
 
-    with trace.span("odq.full_result", layer="C3:conv2") as sp:
-        out = executor.full_result(x)
-        sp.add("macs", n_macs)
+    with trace.span("accel.layer", layer="C3:conv2") as sp:
+        result = simulate_layer(workload)
+        sp.add("cycles", result.cycles)
 
     @trace.traced("accel.simulate")
     def simulate(...): ...

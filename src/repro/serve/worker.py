@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +58,39 @@ class _Worker:
     thread: threading.Thread
     engine: QuantizedInferenceEngine
     stats: WorkerStats = field(init=False)
+    #: Per-layer ``(record, sensitive, outputs, path calls)`` as of this
+    #: worker's previous batch; :meth:`batch_samples` differences
+    #: against it.
+    seen: dict = field(init=False)
 
     def __post_init__(self):
         self.stats = WorkerStats(name=self.thread.name)
+        self.seen = self._census()
+
+    def _census(self) -> dict:
+        return {
+            name: (rec, rec.sensitive_total, rec.outputs_total, rec.path_calls.copy())
+            for name, rec in self.engine.records.items()
+        }
+
+    def batch_samples(self) -> dict[str, dict]:
+        """Each layer's sensitive ratio and path mix over this worker's
+        batches since the previous call: the drift monitor's samples.
+
+        A replaced record (``engine.reset_records``) counts from zero.
+        """
+        now = self._census()
+        samples: dict[str, dict] = {}
+        for name, (rec, sens, outs, calls) in now.items():
+            prev = self.seen.get(name)
+            s0, o0, c0 = prev[1:] if prev is not None and prev[0] is rec else (0, 0, Counter())
+            if outs > o0:
+                samples[name] = {
+                    "sensitive_ratio": (sens - s0) / (outs - o0),
+                    "path_calls": dict(calls - c0),
+                }
+        self.seen = now
+        return samples
 
 
 class WorkerPool:
@@ -79,8 +110,10 @@ class WorkerPool:
     num_workers:
         Worker thread count (each confines its own engine clone).
     drift:
-        Optional :class:`~repro.obs.drift.DriftMonitor` fed the same
-        per-layer samples the gauges publish.
+        Optional :class:`~repro.obs.drift.DriftMonitor` fed, after each
+        batch, that batch's own per-layer sensitive ratio and path mix
+        (the gauges publish cumulative ratios, which a long uptime
+        would average flat).
     """
 
     POLL_SECONDS = 0.05  #: batcher poll period, bounds shutdown latency
@@ -178,7 +211,7 @@ class WorkerPool:
                             for r in run.requests
                         ]
                     continue
-                self._complete(stats, run, outputs, elapsed)
+                self._complete(worker, run, outputs, elapsed)
 
     def _infer(self, engine: QuantizedInferenceEngine, stats: WorkerStats,
                batch: MicroBatch) -> tuple[np.ndarray, float]:
@@ -186,7 +219,7 @@ class WorkerPool:
         t0 = time.perf_counter()
         ctxs = batch.trace_contexts()
         # Span nesting (same thread): serve.batch → engine.infer
-        # → engine.layer → odq.* phases.  A coalesced batch can carry
+        # → engine.layer → odq.run.  A coalesced batch can carry
         # several request contexts: the span parents under the first and
         # lists the rest by trace id.
         with trace.get_tracer().activate(
@@ -212,10 +245,11 @@ class WorkerPool:
             error=f"{type(exc).__name__}: {exc}",
         )
 
-    def _complete(self, stats: WorkerStats, batch: MicroBatch,
+    def _complete(self, worker: _Worker, batch: MicroBatch,
                   outputs: np.ndarray, elapsed: float) -> None:
         """Resolve the batch's futures and record its metrics."""
         batch.complete(outputs)
+        stats = worker.stats
         stats.batches += 1
         stats.images += batch.size
         stats.busy_seconds += elapsed
@@ -226,10 +260,11 @@ class WorkerPool:
         self._infer_hist.observe(elapsed * 1000.0)
         for wait in batch.queue_waits():
             self._wait_hist.observe(wait * 1000.0)
-        self._publish_layer_densities(self.metrics)
+        self._publish_layer_densities(self.metrics, worker)
 
-    def _publish_layer_densities(self, m: MetricsRegistry) -> None:
-        """Aggregate sensitivity-mask density across worker engines."""
+    def _publish_layer_densities(self, m: MetricsRegistry, worker: _Worker) -> None:
+        """Publish the cumulative census gauges of all worker engines and
+        feed the drift monitor ``worker``'s own batch."""
         densities = self.layer_densities()
         exec_census = self.exec_census()
         for name, density in densities.items():
@@ -252,16 +287,7 @@ class WorkerPool:
                     f"dispatches of the {path} result-generation path",
                 ).set(calls)
         if self.drift is not None:
-            samples: dict[str, dict] = {
-                name: {"sensitive_ratio": d} for name, d in densities.items()
-            }
-            for name, census in exec_census.items():
-                samples.setdefault(name, {}).update(
-                    rows_total=census["rows_total"],
-                    rows_computed=census["rows_computed"],
-                    path_calls=census["path_calls"],
-                )
-            self.drift.observe(samples)
+            self.drift.observe(worker.batch_samples())
 
     # -- introspection ------------------------------------------------------
 
@@ -281,29 +307,25 @@ class WorkerPool:
     def exec_census(self) -> dict[str, dict]:
         """Per-layer result-generation dispatch census over all workers.
 
-        Sums the ``exec_*`` extras the ODQ executors record (see
-        :meth:`repro.core.odq.ODQConvExecutor._note_exec_path`): rows
-        seen vs rows actually computed by the chosen path, and how often
-        each path (``dense``/``sparse``) was dispatched.  Layers that
-        never ran an instrumented full-result step (non-ODQ schemes) are
-        absent.
+        Sums the dispatch fields of the layer records (``path_calls``,
+        ``rows_total``, ``rows_computed``): rows seen vs rows actually
+        computed by the chosen path, and how often each path
+        (``dense``/``sparse``) was dispatched.  Layers that never ran
+        ODQ result generation (non-ODQ schemes) are absent.
         """
         census: dict[str, dict] = {}
         for w in self._workers:
             for name, rec in w.engine.records.items():
-                extra = getattr(rec, "extra", None) or {}
-                if "exec_path_calls" not in extra:
+                if not rec.path_calls:
                     continue
                 c = census.setdefault(
                     name,
                     {"rows_total": 0, "rows_computed": 0, "path_calls": {}},
                 )
-                c["rows_total"] += int(extra.get("exec_rows_total", 0))
-                c["rows_computed"] += int(extra.get("exec_rows_computed", 0))
-                for path, calls in extra["exec_path_calls"].items():
-                    c["path_calls"][path] = (
-                        c["path_calls"].get(path, 0) + int(calls)
-                    )
+                c["rows_total"] += rec.rows_total
+                c["rows_computed"] += rec.rows_computed
+                for path, calls in rec.path_calls.items():
+                    c["path_calls"][path] = c["path_calls"].get(path, 0) + calls
         return census
 
     def stats(self) -> list[dict]:

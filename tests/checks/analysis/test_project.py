@@ -1,7 +1,7 @@
 """Symbol table, call resolution, and call-graph facts."""
 
 from repro.checks.analysis import CallGraph, Project
-from repro.checks.analysis.project import FunctionRef, module_name_for
+from repro.checks.analysis.project import module_name_for
 
 
 class TestModuleNames:
@@ -270,21 +270,3 @@ class TestEntryLocksets:
         assert graph.roots_reaching("repro.demo.r._leaf") == {"repro.demo.r._mid"}
         assert graph.roots_reaching("repro.demo.r.start") == set()
 
-
-class TestEnclosingFunction:
-    def test_innermost_span_wins(self):
-        src = (
-            "class C:\n"
-            "    def meth(self):\n"
-            "        x = 1\n"
-            "        return x\n"
-            "\n"
-            "def free():\n"
-            "    pass\n"
-        )
-        project = Project.from_sources({"src/repro/demo/s.py": src})
-        ref = project.enclosing_function("src/repro/demo/s.py", 3)
-        assert ref == FunctionRef("repro.demo.s", "C.meth")
-        ref = project.enclosing_function("src/repro/demo/s.py", 7)
-        assert ref == FunctionRef("repro.demo.s", "free")
-        assert project.enclosing_function("src/repro/demo/s.py", 999) is None

@@ -140,6 +140,7 @@ class TestMACAccounting:
         x = rng.uniform(0, 1, (1, 3, 6, 6))
         ex = calibrated(rng, x, target_sensitive=0.5)
         ex.run(x)
-        frac = ex.record.extra["input_sensitive_total"] / ex.record.extra["input_total"]
+        assert ex.record.input_total == 6 * 6 * 3  # one image, C_in = 3
+        frac = ex.record.input_sensitive_total / ex.record.input_total
         assert 0.2 < frac < 0.8
         assert "last_input_mask" in ex.record.extra

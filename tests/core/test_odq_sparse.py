@@ -109,16 +109,19 @@ class TestAccountingParity:
         dense, sparse, x = _pair(rng, 0.3)
         dense.run(x)
         sparse.run(x)
-        assert dense.record.extra["exec_path_calls"] == {"dense": 1}
-        assert sparse.record.extra["exec_path_calls"] == {"sparse": 1}
+        assert dense.record.path_calls == {"dense": 1}
+        assert sparse.record.path_calls == {"sparse": 1}
         # Dense computes every row; sparse only the flagged ones.
-        assert dense.record.extra["exec_rows_computed"] == \
-            dense.record.extra["exec_rows_total"]
-        assert sparse.record.extra["exec_rows_computed"] <= \
-            sparse.record.extra["exec_rows_total"]
-        # Both paths record the same dense-equivalent FLOP budget.
-        assert dense.record.extra["exec_flops_full_dense"] == \
-            sparse.record.extra["exec_flops_full_dense"]
+        assert dense.record.rows_computed == dense.record.rows_total
+        assert sparse.record.rows_computed <= sparse.record.rows_total
+        assert dense.record.rows_total == sparse.record.rows_total == 2 * 7 * 7
+        # Both paths record the same dense-equivalent FLOP budget, and
+        # each spends FLOPs in proportion to the rows it computed.
+        assert dense.record.flops_full_dense == sparse.record.flops_full_dense
+        for rec in (dense.record, sparse.record):
+            assert rec.flops_full * rec.rows_total == \
+                rec.flops_full_dense * rec.rows_computed
+        assert not dense.record.extra and not sparse.record.extra
 
 
 class TestAutoDispatch:
@@ -129,7 +132,7 @@ class TestAutoDispatch:
         ex.calibrate(x)
         ex.freeze()
         ex.run(x)
-        assert ex.record.extra["exec_path_calls"] == {"sparse": 1}
+        assert ex.record.path_calls == {"sparse": 1}
 
     def test_high_density_picks_dense(self, rng):
         conv = Conv2d(3, 4, 3, padding=1, rng=rng)
@@ -138,7 +141,7 @@ class TestAutoDispatch:
         ex.calibrate(x)
         ex.freeze()
         ex.run(x)
-        assert ex.record.extra["exec_path_calls"] == {"dense": 1}
+        assert ex.record.path_calls == {"dense": 1}
 
     def test_crossover_knob(self, rng):
         """sparse_crossover=1.0 forces sparse even at full density."""
@@ -149,7 +152,7 @@ class TestAutoDispatch:
         ex.calibrate(x)
         ex.freeze()
         ex.run(x)
-        assert ex.record.extra["exec_path_calls"] == {"sparse": 1}
+        assert ex.record.path_calls == {"sparse": 1}
         assert 0.0 < SPARSE_ROW_CROSSOVER < 1.0  # below pure-FLOP break-even
 
     def test_validation(self, rng):
@@ -226,7 +229,7 @@ class TestColumnCache:
 
 class TestProfileIntegration:
     def test_report_renders_path_and_speedup(self, rng):
-        from repro.obs.profile import ProfileReport
+        from repro.obs.profile import ProfileReport, path_summary
 
         conv = Conv2d(3, 4, 3, padding=1, rng=rng)
         x = rng.uniform(0, 1, (2, 3, 8, 8))
@@ -234,11 +237,10 @@ class TestProfileIntegration:
         ex.calibrate(x)
         ex.freeze()
         ex.run(x)
-        report = ProfileReport.from_spans([], {"C1": ex.record})
-        layer = report.layers["C1"]
-        assert layer.path_calls == {"sparse": 1}
-        assert layer.exec_path_summary == "sparse"
-        assert layer.rows_computed <= layer.rows
+        report = ProfileReport({"C1": ex.record})
+        assert path_summary(report.layers["C1"]) == "sparse"
         rendered = report.render()
         assert "result generation" in rendered
+        rec = ex.record
+        assert f"{rec.rows_computed:,}/{rec.rows_total:,}" in rendered
         assert "sparse" in rendered

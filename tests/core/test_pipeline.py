@@ -1,8 +1,11 @@
 """Quantized inference engine: install/restore, calibration, evaluation."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core.base import PHASES
 from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import InstrumentedConv, QuantizedInferenceEngine, run_scheme
 from repro.core.schemes import drq_scheme, fp32_scheme, odq_scheme, static_scheme
@@ -93,6 +96,26 @@ class TestCalibrationAndRun:
         engine.forward(x)
         engine.reset_records()
         assert all(r.outputs_total == 0 for r in engine.records.values())
+        assert all(not r.path_calls and sum(r.phase_calls) == 0
+                   for r in engine.records.values())
+        engine.restore()
+
+    def test_phase_times_recorded_per_layer(self, model, rng):
+        """One infer times every phase of every ODQ layer on its record,
+        tracing off, and the timed phases fit inside the infer call."""
+        x = rng.uniform(0, 1, (2, 3, 16, 16))
+        engine = QuantizedInferenceEngine(model, odq_scheme(0.3))
+        engine.calibrate(x)
+        engine.reset_records()
+        t0 = time.perf_counter_ns()
+        engine.infer(x)
+        wall_ns = time.perf_counter_ns() - t0
+        records = list(engine.records.values())
+        assert len(records) == 19
+        for rec in records:
+            assert rec.phase_calls == [1] * len(PHASES)
+            assert all(ns > 0 for ns in rec.phase_ns)
+        assert sum(sum(rec.phase_ns) for rec in records) <= wall_ns
         engine.restore()
 
     def test_capture_inputs(self, model, rng):

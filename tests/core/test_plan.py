@@ -12,6 +12,7 @@ isolation.
 import numpy as np
 import pytest
 
+from repro.core.base import PHASES
 from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import QuantizedInferenceEngine
 from repro.core.plan import MaxPoolStep, PlannedConvStep
@@ -140,19 +141,23 @@ class TestPlannedBitExactness:
                 assert rec.last_mask is not None
                 assert np.array_equal(rec.last_mask.mask, ref.last_mask.mask)
                 assert rec.macs == ref.macs
-                exec_keys = {k for k in ref.extra if k.startswith("exec_")}
-                assert exec_keys
-                assert {k for k in rec.extra if k.startswith("exec_")} == exec_keys
-                for key in exec_keys:
-                    assert rec.extra[key] == ref.extra[key], key
+                assert rec.path_calls and rec.path_calls == ref.path_calls
+                for census in ("images", "out_h", "out_w", "rows_total",
+                               "rows_computed", "flops_full", "flops_full_dense",
+                               "input_total", "input_sensitive_total"):
+                    assert getattr(rec, census) == getattr(ref, census), census
+                assert rec.rows_total > 0 and rec.flops_full_dense > 0
+                assert rec.phase_calls == ref.phase_calls == [4] * len(PHASES)
+                assert rec.extra.keys() == ref.extra.keys()
         finally:
             for engine in engines:
                 engine.restore()
 
     def test_traced_plan_runs_compiled_steps(self, monkeypatch):
         """Tracing does not switch code paths: a traced planned engine
-        runs its compiled conv steps, each emitting the odq.* spans, and
-        returns the untraced planned output."""
+        runs its compiled conv steps, each emitting one odq.run span with
+        the call's four phase durations, and returns the untraced
+        planned output."""
         from repro.obs import trace
 
         engine = _calibrated_engine(_conv_net(1, 1, True))
@@ -167,9 +172,13 @@ class TestPlannedBitExactness:
             assert np.array_equal(out, ref)
             assert step_runs == list(engine.executors)
             for layer in step_runs:
-                names = {s.name for s in spans if s.attrs.get("layer") == layer}
-                assert {"odq.run", "odq.quantize", "odq.predict_partial",
-                        "odq.mask", "odq.full_result"} <= names
+                (run,) = [s for s in spans if s.attrs.get("layer") == layer]
+                assert run.name == "odq.run"
+                assert run.attrs["path"] in ("dense", "sparse")
+                durations = [run.attrs[f"{phase}_ns"] for phase in PHASES]
+                assert all(ns > 0 for ns in durations)
+                assert sum(durations) <= run.duration_us * 1000 + 1000
+                assert not run.counters
             assert sum(s.name == "odq.run" for s in spans) == 2
         finally:
             engine.restore()

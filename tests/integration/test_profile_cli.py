@@ -42,7 +42,12 @@ def test_profile_writes_parsable_chrome_trace(tmp_path, capsys):
     names = {e["name"] for e in complete}
     assert "engine.infer" in names
     assert "odq.run" in names
-    assert "odq.full_result" in names
+    # Each ODQ layer call is one odq.run event carrying its phase split.
+    runs = [e for e in complete if e["name"] == "odq.run"]
+    for e in runs:
+        assert e["args"]["path"] in ("dense", "sparse")
+        for phase in ("quantize", "predict_partial", "mask", "full_result"):
+            assert e["args"][f"{phase}_ns"] > 0
     for e in complete:
         assert e["dur"] >= 0
         assert isinstance(e["ts"], (int, float))

@@ -1,14 +1,22 @@
-"""Profiler rollup tests: spans + engine records → per-layer phase report."""
+"""Profiler rollup tests: engine records → per-layer phase report."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.base import ConvLayerInfo, LayerRecord
 from repro.core.pipeline import QuantizedInferenceEngine
 from repro.core.schemes import odq_scheme
 from repro.models.registry import build_model
-from repro.obs.profile import PHASES, ProfileReport, profile_inference
+from repro.obs.profile import (
+    PHASES,
+    ProfileReport,
+    macs_skipped,
+    path_summary,
+    profile_inference,
+    skip_ratio,
+)
 from repro.obs.trace import Tracer
 
 
@@ -29,6 +37,16 @@ def _traced_engine_run(images: int = 2):
     return engine, spans
 
 
+def _timing_rows(text: str) -> dict:
+    """``{(layer, phase): calls}`` from the rendered per-phase table."""
+    rows = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) == 6 and cells[1] in PHASES:
+            rows[cells[0], cells[1]] = int(cells[2])
+    return rows
+
+
 class TestFromEngineSpans:
     @pytest.fixture(scope="class")
     def engine_spans(self):
@@ -36,28 +54,29 @@ class TestFromEngineSpans:
 
     def test_all_phases_timed_per_layer(self, engine_spans):
         engine, spans = engine_spans
-        report = ProfileReport.from_spans(spans, engine.records)
+        report = ProfileReport(engine.records, spans)
         assert set(report.layers) == set(engine.records)
-        for layer in report.layers.values():
-            assert set(layer.phases) == set(PHASES)
-            for stat in layer.phases.values():
-                assert stat.calls == 1
-                assert stat.total_us > 0
+        for rec in report.layers.values():
+            assert rec.phase_calls == [1] * len(PHASES)
+            assert all(ns > 0 for ns in rec.phase_ns)
+        rows = _timing_rows(report.render())
+        assert rows == {(n, p): 1 for n in engine.records for p in PHASES}
 
     def test_mac_census_matches_engine_records(self, engine_spans):
         engine, spans = engine_spans
-        report = ProfileReport.from_spans(spans, engine.records)
+        text = ProfileReport(engine.records, spans).render()
         for name, rec in engine.records.items():
-            layer = report.layers[name]
-            assert layer.macs_pred == rec.macs["pred_int2"]
-            assert layer.macs_exec == rec.macs["exec_int4"]
             insens = rec.outputs_total - rec.sensitive_total
-            assert layer.macs_skipped == insens * rec.info.macs_per_output
-            assert layer.sensitive_ratio == pytest.approx(rec.sensitive_fraction)
+            assert macs_skipped(rec) == insens * rec.info.macs_per_output
+            dense = rec.macs["exec_int4"] + macs_skipped(rec)
+            assert skip_ratio(rec) == pytest.approx(macs_skipped(rec) / dense)
+            for value in (rec.macs["pred_int2"], rec.macs["exec_int4"],
+                          macs_skipped(rec)):
+                assert f"{value:,}" in text
 
     def test_render_mentions_phases_and_macs(self, engine_spans):
         engine, spans = engine_spans
-        text = ProfileReport.from_spans(spans, engine.records).render()
+        text = ProfileReport(engine.records, spans).render()
         assert "predict_partial" in text
         assert "full_result" in text
         assert "MACs skipped" in text
@@ -65,39 +84,41 @@ class TestFromEngineSpans:
 
     def test_flame_render_contains_engine_tree(self, engine_spans):
         _, spans = engine_spans
-        text = ProfileReport.from_spans(spans).render_flame()
+        text = ProfileReport({}, spans).render_flame()
         assert "engine.infer" in text
         assert "odq.run" in text
 
 
 class TestSyntheticSpans:
-    def test_counters_without_records(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("odq.run", layer="L1") as sp:
-            with tracer.span("odq.predict_partial", layer="L1"):
-                pass
-            sp.add("outputs", 10)
-            sp.add("sensitive", 4)
-            sp.add("macs_pred", 90)
-            sp.add("macs_exec", 36)
-            sp.add("macs_skipped", 54)
-        report = ProfileReport.from_spans(tracer.spans())
-        layer = report.layers["L1"]
-        assert layer.macs_pred == 90
-        assert layer.sensitive_ratio == pytest.approx(0.4)
-        assert layer.skip_ratio == pytest.approx(54 / 90)
-        assert "predict_partial" in layer.phases
+    def test_census_from_records(self):
+        rec = LayerRecord(info=ConvLayerInfo("L1", 1, 1, 3, 1, 1))  # 9 MACs/output
+        rec.outputs_total, rec.sensitive_total = 10, 4
+        rec.macs.update(pred_int2=90, exec_int4=36)
+        rec.path_calls.update(dense=1, sparse=3)
+        rec.phase_ns[PHASES.index("predict_partial")] = 2_000_000
+        rec.phase_calls[PHASES.index("predict_partial")] = 4
+        report = ProfileReport({"L1": rec})
+        assert macs_skipped(rec) == 54
+        assert skip_ratio(rec) == pytest.approx(54 / 90)
+        assert path_summary(rec) == "dense:1|sparse:3"
+        assert report.phase_totals() == {"predict_partial": 2.0}
+        text = report.render()
+        assert "0.500" in text  # mean ms of the 4 predict_partial calls
+        assert "40.0%" in text  # sensitive ratio
+        assert "quantize" not in text  # untimed phases have no row
 
     def test_unrelated_spans_ignored(self):
         tracer = Tracer(enabled=True)
         with tracer.span("engine.infer", batch=1):
-            with tracer.span("accel.layer", layer="L1"):
-                pass
-        report = ProfileReport.from_spans(tracer.spans())
+            with tracer.span("odq.run", layer="L1") as sp:
+                sp.add("macs_exec", 36)
+        report = ProfileReport({}, tracer.spans())
         assert report.layers == {}
+        assert "no layer phases" in report.render()
+        assert "odq.run" in report.render_flame()
 
     def test_empty_report_renders_placeholder(self):
-        assert "no layer phases" in ProfileReport.from_spans([]).render()
+        assert "no layer phases" in ProfileReport({}).render()
 
 
 class TestProfileInference:
@@ -111,6 +132,8 @@ class TestProfileInference:
         text = result.render()
         assert "model=lenet" in text
         assert "predict_partial" in text
+        rows = _timing_rows(text)
+        assert rows == {(n, p): 2 for n in result.records for p in PHASES}
         # Driver restores the tracer's disabled state.
         from repro.obs import trace as trace_mod
 

@@ -42,8 +42,7 @@ class TestExecPathHonored:
         sess.engine.infer(sess.sample_inputs[:2])
         paths = set()
         for rec in sess.engine.records.values():
-            extra = getattr(rec, "extra", None) or {}
-            paths |= set(extra.get("exec_path_calls", {}))
+            paths |= set(rec.path_calls)
         assert paths == {exec_path}
 
 

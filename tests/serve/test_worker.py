@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.obs.drift import DriftMonitor
 from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.worker import WorkerPool
@@ -22,6 +23,36 @@ def _drive(session, n_requests: int, workers: int = 2, max_batch: int = 4):
         ]
         results = [f.result(timeout=30) for f in futures]
     return pool, metrics, results
+
+
+def _run_pool(session, images, drift) -> None:
+    """Serve ``images`` one per batch through a one-worker pool, then join
+    it, so every batch's drift observation has landed."""
+    batcher = MicroBatcher(max_batch_size=1)
+    pool = WorkerPool(session, batcher, metrics=MetricsRegistry(),
+                      num_workers=1, drift=drift)
+    with pool:
+        futures = [batcher.submit(img[None]) for img in images]
+        for f in futures:
+            f.result(timeout=30)
+
+
+class TestDriftFeed:
+    def test_drift_sees_each_batch_after_long_uptime(self, session):
+        """The drift EWMA smooths per-batch ratios, not the running mean
+        since start: after 50 normal batches, all-zero images (whose own
+        sensitive ratio collapses) raise the first layer's alert within
+        3 batches."""
+        layer = next(iter(session.engine.executors))
+        drift = DriftMonitor(baseline=session.baseline)
+        normal = [session.sample_inputs[i % len(session.sample_inputs)]
+                  for i in range(50)]
+        _run_pool(session, normal, drift)
+        assert drift.observations == 50
+        assert layer not in drift.alerting()
+        _run_pool(session, [np.zeros_like(normal[0])] * 3, drift)
+        assert drift.observations == 53
+        assert layer in drift.alerting()
 
 
 class TestDispatch:

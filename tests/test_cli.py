@@ -79,6 +79,36 @@ class TestServeArgs:
         assert cfg.port == 0
         assert cfg.max_batch_size == 4
 
+    def test_serve_pins_one_malloc_arena(self, monkeypatch):
+        """`repro serve` asks libc for one malloc arena before building
+        anything, and carries on where libc has no mallopt."""
+        import ctypes
+
+        import repro.__main__ as cli
+
+        calls = []
+
+        class _Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: _Libc())
+        cli._one_malloc_arena()
+        assert calls == [(-8, 1)]  # M_ARENA_MAX from glibc's malloc.h
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        cli._one_malloc_arena()
+        assert calls == [(-8, 1)]
+
+        def stop(_config, verbose=False):
+            raise RuntimeError("stop before the session build")
+
+        monkeypatch.setattr(cli, "_one_malloc_arena", lambda: calls.append("serve"))
+        monkeypatch.setattr("repro.serve.server.InferenceServer", stop)
+        with pytest.raises(RuntimeError, match="session build"):
+            main(["serve", "--port", "0"])
+        assert calls[-1] == "serve"
+
     @pytest.mark.parametrize("flag", ["--replicas", "--telemetry-spool"])
     def test_process_lane_flags_are_usage_errors(self, flag, capsys):
         # Worker threads are the only serving lane; a replica-process
