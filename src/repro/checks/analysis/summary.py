@@ -40,7 +40,7 @@ from typing import Any, Iterator
 from repro.checks import astutil
 
 #: Bump to invalidate every cached summary when the extraction changes.
-SUMMARY_VERSION = 5
+SUMMARY_VERSION = 6
 
 #: Lock constructors: a module-level binding of one is a lock, not state.
 _LOCK_FACTORIES = frozenset({
@@ -178,7 +178,6 @@ class GemmCall:
 class FunctionSummary:
     name: str                      #: module-relative qualname (``C.meth``)
     line: int
-    end_line: int
     params: list[str] = field(default_factory=list)
     class_name: str | None = None
     calls: list[CallSite] = field(default_factory=list)
@@ -219,7 +218,7 @@ class ModuleSummary:
         out.locks = list(doc.get("locks", []))
         for name, f in doc.get("functions", {}).items():
             fs = FunctionSummary(
-                name=f["name"], line=f["line"], end_line=f["end_line"],
+                name=f["name"], line=f["line"],
                 params=list(f.get("params", [])),
                 class_name=f.get("class_name"),
                 acquires=list(f.get("acquires", [])),
@@ -569,7 +568,6 @@ class _FunctionExtractor:
         self.out = FunctionSummary(
             name=qualname,
             line=func.lineno,
-            end_line=getattr(func, "end_lineno", func.lineno) or func.lineno,
             params=params,
             class_name=class_name,
         )

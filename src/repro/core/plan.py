@@ -425,32 +425,48 @@ class InferencePlan:
 
 
 class _TraceEntry:
-    __slots__ = ("module", "x", "out")
+    __slots__ = ("module", "in_shape")
 
-    def __init__(self, module, x, out) -> None:
+    def __init__(self, module, in_shape) -> None:
         self.module = module
-        self.x = x
-        self.out = out
+        self.in_shape = in_shape
 
 
 def _trace_leaves(engine, x: np.ndarray):
     """Run one inference with leaf forwards instrumented.
 
-    Returns ``(tape, output Tensor)``.  The traced call *is* a full
-    unplanned, tape-free inference (records and spans unchanged), so its
-    output doubles as the result of the batch that triggered the compile.
+    Returns ``(tape, linear, output array)``.  The tape keeps each leaf
+    call's module and input shape, never its arrays, so the trace holds
+    no more activations than an unplanned inference.  ``linear`` is true
+    when the calls form one pass-the-baton chain, checked as they
+    happen by array *identity*: each leaf consumed exactly the previous
+    leaf's output (the one array the trace keeps alive), the first one
+    consumed the model input, and the last one's output is the model
+    output.  Residual adds, concats and untraced custom modules break
+    identity and leave the plan in graph mode.
+
+    The traced call *is* a full unplanned, tape-free inference (records
+    and spans unchanged), so its output doubles as the result of the
+    batch that triggered the compile.
     """
     from repro.core.pipeline import InstrumentedConv
 
     tape: list[_TraceEntry] = []
     wrapped: list = []
+    xt = Tensor(x)
+    # The array the next leaf must consume for the chain to hold; None
+    # once it broke.
+    baton = xt.data
 
     def instrument(module) -> None:
         orig = module.forward
 
         def traced(t):
+            nonlocal baton
+            chained = t.data is baton
+            tape.append(_TraceEntry(module, t.data.shape))
             out = orig(t)
-            tape.append(_TraceEntry(module, t, out))
+            baton = out.data if chained else None
             return out
 
         module.__dict__["forward"] = traced
@@ -462,32 +478,13 @@ def _trace_leaves(engine, x: np.ndarray):
         if isinstance(m, InstrumentedConv) or type(m) in _LEAF_STEP_TYPES:
             instrument(m)
 
-    xt = Tensor(x)
     try:
         with no_grad():
-            out_t = engine.model(xt)
+            out = engine.model(xt).data
     finally:
         for m in wrapped:
             m.__dict__.pop("forward", None)
-    return tape, xt, out_t
-
-
-def _is_linear_chain(tape, xt, out_t) -> bool:
-    """True when the traced calls form one pass-the-baton chain.
-
-    Verified by array *identity*: step i consumed exactly step i-1's
-    output and nothing else reached the model output.  Residual adds,
-    concats, and untraced custom modules all break identity and fall
-    back to graph mode.
-    """
-    if not tape:
-        return False
-    if tape[0].x.data is not xt.data:
-        return False
-    for prev, cur in zip(tape, tape[1:]):
-        if cur.x.data is not prev.out.data:
-            return False
-    return out_t.data is tape[-1].out.data
+    return tape, bool(tape) and out is baton, out
 
 
 def _flat_step_for(entry):
@@ -495,7 +492,7 @@ def _flat_step_for(entry):
     from repro.core.pipeline import InstrumentedConv
 
     m = entry.module
-    in_shape = entry.x.data.shape
+    in_shape = entry.in_shape
     if isinstance(m, InstrumentedConv):
         return PlannedConvStep(m.executor, in_shape)
     if isinstance(m, Identity):
@@ -552,10 +549,10 @@ def compile_plan(engine, x: np.ndarray):
     unplanned) inference result of ``x`` itself — the compile pass costs
     one traced inference, never an extra forward.
     """
-    tape, xt, out_t = _trace_leaves(engine, x)
+    tape, linear, out = _trace_leaves(engine, x)
 
     steps: list[PlanStep] | None = None
-    if _is_linear_chain(tape, xt, out_t):
+    if linear:
         candidate = [_flat_step_for(entry) for entry in tape]
         if all(step is not None for step in candidate):
             steps = candidate
@@ -569,7 +566,7 @@ def compile_plan(engine, x: np.ndarray):
         # Graph mode: the model keeps walking its own forward; convs
         # route through pre-bound steps in traced execution order.
         conv_in_order = [
-            PlannedConvStep(e.module.executor, e.x.data.shape)
+            PlannedConvStep(e.module.executor, e.in_shape)
             for e in tape
             if isinstance(e.module, InstrumentedConv)
         ]
@@ -581,7 +578,7 @@ def compile_plan(engine, x: np.ndarray):
     plan = InferencePlan(
         engine, x.shape, x.dtype, mode, steps, conv_steps, sparse_groups,
     )
-    return plan, out_t.data
+    return plan, out
 
 
 __all__ = [

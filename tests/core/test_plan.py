@@ -5,9 +5,12 @@ approx) to the legacy per-call path — across conv geometry (stride,
 padding, bias), every exec path, and changing batch shapes — because
 every plan step mirrors the exact expression tree the Tensor ops
 evaluate.  Also pinned here: shape-change recompiles, staleness
-invalidation, LRU bounding of the per-engine plan cache, and clone
-isolation.
+invalidation, LRU bounding of the per-engine plan cache, clone
+isolation, and a compile that holds no more memory than an unplanned
+inference.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import QuantizedInferenceEngine
 from repro.core.plan import MaxPoolStep, PlannedConvStep
 from repro.core.schemes import odq_scheme
+from repro.models import build_model
 from repro.nn.layers import (
     Conv2d,
     Flatten,
@@ -302,6 +306,36 @@ class TestPlanLifecycle:
             out = clone.infer(x)
             ref = engine.infer(x)
             assert np.array_equal(out, ref)
+        finally:
+            engine.restore()
+
+    def test_compile_holds_no_more_than_an_unplanned_infer(self):
+        """The compile's trace keeps each leaf's input shape, not its
+        arrays: the traced peak of a batch-8 compile stays within 1.5x
+        that of an unplanned ``infer`` of the same batch (a residual
+        model, so the trace walks the whole graph)."""
+        rng = np.random.default_rng(3)
+        engine = QuantizedInferenceEngine(
+            build_model("resnet20", scale=0.5, rng=rng), odq_scheme(0.3)
+        )
+        x = rng.uniform(0.0, 1.0, size=(8, 3, 16, 16))
+        engine.calibrate(x)
+
+        def traced_peak(use_plan: bool) -> int:
+            engine.use_plan = use_plan
+            tracemalloc.start()
+            try:
+                engine.infer(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        try:
+            traced_peak(False)  # first-call set-up stays out of both peaks
+            unplanned = traced_peak(False)
+            compile_peak = traced_peak(True)
+            assert engine.plan_stats()["compiles"] == 1
+            assert compile_peak <= 1.5 * unplanned, (compile_peak, unplanned)
         finally:
             engine.restore()
 
