@@ -36,6 +36,7 @@ Or under pytest with the rest of the harness: ``pytest benchmarks/bench_odq_spar
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,7 +44,12 @@ import time
 import types
 from pathlib import Path
 
-import numpy as np
+# BLAS/OpenMP pools pinned to one thread unless the caller chose, as in CI
+# and benchmarks/e2e/run.py; set before anything imports numpy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 JSON_PATH = REPO_ROOT / "BENCH_odq_sparse.json"
@@ -94,7 +100,7 @@ def _set_exec_path(engine, path: str) -> None:
         ex.exec_path = path
 
 
-def _seed_style_run(self, x):
+def _seed_style_run(self, x, twins):
     """The pre-PR executor, replicated instruction-for-instruction.
 
     Before the column cache existed, ``predict_partial`` and
@@ -103,6 +109,7 @@ def _seed_style_run(self, x):
     the partial was shifted as an int64 tensor, and the dense full
     result was always computed with ``np.where`` selecting at the end.
     (Verified against ``git show`` of the seed ``repro/core/odq.py``.)
+    ``twins`` are the seed executor's frozen ``(qw, qw_high, w_sum)``.
     """
     from repro.core.base import int_conv2d
     from repro.core.masks import mask_from_magnitude
@@ -110,6 +117,7 @@ def _seed_style_run(self, x):
     from repro.quant.uniform import quantize
     from repro.utils.im2col import pad_nchw
 
+    qw, qw_high, w_sum = twins
     qp_a = self._qp_a_for(x)
     scale = qp_a.scale * self.qp_w.scale
 
@@ -122,9 +130,9 @@ def _seed_style_run(self, x):
         qpad = pad_nchw(q.astype(np.int64), self.conv.padding,
                         value=qp_a.zero_point).astype(np.int64)
     q_high = split_planes(qpad, qp_a, self.low_bits).high
-    hh = int_conv2d(q_high, self._qw_high, self.conv.stride, 0)
+    hh = int_conv2d(q_high, qw_high, self.conv.stride, 0)
     shifted = hh << (2 * self.low_bits)
-    partial = scale * (shifted + (e_low - qp_a.zero_point) * self._w_sum)
+    partial = scale * (shifted + (e_low - qp_a.zero_point) * w_sum)
     if self.conv.bias is not None:
         partial = partial + self.conv.bias.data.reshape(1, -1, 1, 1)
 
@@ -132,19 +140,28 @@ def _seed_style_run(self, x):
 
     # -- seed full_result: re-quantize, always-dense int conv ------------
     q2 = quantize(x, qp_a)
-    acc = int_conv2d(q2, self._qw, self.conv.stride, self.conv.padding,
+    acc = int_conv2d(q2, qw, self.conv.stride, self.conv.padding,
                      pad_value=qp_a.zero_point)
-    full = scale * (acc - qp_a.zero_point * self._w_sum)
+    full = scale * (acc - qp_a.zero_point * w_sum)
     if self.conv.bias is not None:
         full = full + self.conv.bias.data.reshape(1, -1, 1, 1)
     return np.where(mask.mask, full, partial)
 
 
 def _patch_seed_style(engine):
+    """Swap every executor's ``run`` for the seed-style one.  The seed
+    executor's frozen weight twins are derived here, outside the timed
+    call, as the seed's ``freeze`` derived them."""
+    from repro.quant.bitsplit import split_planes
+    from repro.quant.uniform import quantize
+
     originals = {}
     for name, ex in engine.executors.items():
         originals[name] = ex.run
-        ex.run = types.MethodType(_seed_style_run, ex)
+        qw = quantize(ex.conv.weight.data, ex.qp_w)
+        twins = (qw, split_planes(qw, ex.qp_w, ex.low_bits).high,
+                 qw.sum(axis=(1, 2, 3)).reshape(1, -1, 1, 1))
+        ex.run = types.MethodType(functools.partial(_seed_style_run, twins=twins), ex)
     return originals
 
 

@@ -38,7 +38,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# BLAS/OpenMP pools pinned to one thread unless the caller chose, as in CI
+# and benchmarks/e2e/run.py; set before anything imports numpy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 JSON_PATH = REPO_ROOT / "BENCH_plan.json"

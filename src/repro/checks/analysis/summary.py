@@ -40,7 +40,7 @@ from typing import Any, Iterator
 from repro.checks import astutil
 
 #: Bump to invalidate every cached summary when the extraction changes.
-SUMMARY_VERSION = 6
+SUMMARY_VERSION = 7
 
 #: Lock constructors: a module-level binding of one is a lock, not state.
 _LOCK_FACTORIES = frozenset({
@@ -94,11 +94,12 @@ _VALUE_PRESERVING_FUNCS = frozenset({
     "zeros_like", "empty_like",
 })
 
-#: Attribute reads that are bit-plane / packed-operand sources — the
-#: ColumnCache / PackedConvWeights API (exact integers in the dtype
-#: exact_gemm_dtype picked).
+#: Attribute reads (and, for ``image_cols``, method calls) that are
+#: bit-plane / packed-operand sources — the ColumnCache /
+#: PackedConvWeights API (exact integers in the dtype exact_gemm_dtype
+#: picked).
 _SOURCE_ATTRS = frozenset({
-    "cols_high", "cols_full", "wmat_full", "wmat_high",
+    "cols_high", "cols_full", "image_cols", "wmat_full", "wmat_high",
 })
 
 #: Resolved-callee terminal names that mint exact values.
@@ -672,6 +673,8 @@ class _FunctionExtractor:
             return UNKNOWN
         if terminal in _SOURCE_CALL_TERMINALS:
             return EXACT_FLOAT if terminal == "rint" else EXACT_INT
+        if terminal in _SOURCE_ATTRS and isinstance(node.func, ast.Attribute):
+            return EXACT_FLOAT
         if any(terminal.startswith(p) for p in _SOURCE_CALL_PREFIXES):
             return EXACT_INT
         if terminal in _VALUE_PRESERVING_METHODS and isinstance(

@@ -108,6 +108,13 @@ class PackedConvWeights:
     order, ready to be multiplied against :class:`ColumnCache` column
     matrices built in the same dtype without any per-call reshape/astype
     work.
+
+    An immutable value, like the accelerator's filter bank, which is
+    packed once: its arrays are flagged read-only when it is built, and
+    ``copy.deepcopy`` returns the same object, so a cloned engine shares
+    its operands instead of copying them.  The integer weights are not
+    kept beside it; :func:`weights_from_gemm_layout` recovers them from
+    ``wmat_full``.
     """
 
     wmat_full: np.ndarray   #: full INT-q weights, GEMM layout
@@ -117,6 +124,13 @@ class PackedConvWeights:
     c_out: int
     dtype: np.dtype         #: GEMM operand dtype, from exact_gemm_dtype
     a_max: int | None       #: activation magnitude the dtype was chosen for
+
+    def __post_init__(self) -> None:
+        for arr in (self.wmat_full, self.wmat_high, self.w_sum):
+            arr.flags.writeable = False
+
+    def __deepcopy__(self, memo: dict) -> "PackedConvWeights":
+        return self
 
     @property
     def high_shift(self) -> int:
@@ -167,13 +181,23 @@ class ColumnCache:
     column matrices, all in ``(kh, kw, c)`` column order, materialise on
     first access:
 
-    ``cols_high``       predictor operand, needed by every caller;
-    ``cols``            dense INT-q columns, needed only by the dense path;
-    ``full_rows(idx)``  the rows ``idx`` of ``cols``, gathered straight
-                        from the buffer unless ``cols`` was already
-                        built.  This is what makes the sparse executor
-                        cheaper than the dense one at low sensitive-row
-                        density.
+    ``cols_high``         predictor columns of the whole batch;
+    ``cols``              dense INT-q columns of the whole batch;
+    ``image_cols(i, h)``  the ``OH*OW`` rows of image ``i`` alone, of
+                          ``cols_high`` when ``h`` else of ``cols``,
+                          unfolded straight from the buffer unless that
+                          matrix was already built;
+    ``full_rows(idx)``    the rows ``idx`` of ``cols``, gathered straight
+                          from the buffer unless ``cols`` was already
+                          built.  This is what makes the sparse executor
+                          cheaper than the dense one at low sensitive-row
+                          density.
+
+    The inference kernel (:func:`repro.core.odq.odq_conv`) reads only
+    ``image_cols`` and ``full_rows``, so at most one image's columns are
+    alive at a time, as in the accelerator's line buffers, which are
+    filled one tile at a time.  QAT's forward builds :attr:`cols` first,
+    so ``image_cols`` slices it and the STE backward reuses it.
     """
 
     def __init__(
@@ -271,6 +295,18 @@ class ColumnCache:
         if self._cols_high is None:
             self._cols_high = self._patches(self.q_high_pad).reshape(self.rows, -1)
         return self._cols_high
+
+    def image_cols(self, i: int, high: bool = False) -> np.ndarray:
+        """Columns of image ``i`` alone, ``(OH*OW, K*K*C)``: rows
+        ``i*OH*OW`` to ``(i+1)*OH*OW`` of :attr:`cols_high` when ``high``,
+        else of :attr:`cols`.  Sliced from that matrix when it was already
+        built, otherwise unfolded straight from the buffer."""
+        step = self.oh * self.ow
+        built = self._cols_high if high else self._cols
+        if built is not None:
+            return built[i * step : (i + 1) * step]
+        buf = self.q_high_pad if high else self.q_pad
+        return self._patches(buf)[i].reshape(step, -1)
 
     # -- sparse row gathering -----------------------------------------------
 

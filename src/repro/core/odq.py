@@ -30,7 +30,8 @@ executor): all per-call preparation is done once in a
 between
 
 ``dense``
-    one GEMM of the full column matrix (wins when most outputs are
+    the full column matrix times the packed full operand, one image's
+    rows per GEMM, as the predictor runs (wins when most outputs are
     sensitive — the gather/scatter overhead is not worth it);
 ``sparse``
     gather only the *sensitive rows* of the column matrix (rows whose
@@ -72,7 +73,6 @@ from repro.core.gemm import pgemm
 from repro.core.masks import SensitivityMask, mask_from_magnitude
 from repro.obs import trace
 from repro.nn.layers import Conv2d
-from repro.quant.bitsplit import split_planes
 from repro.quant.uniform import QParams, affine_qparams, quantize, symmetric_qparams
 
 #: Result-generation paths accepted by the executor / scheme / CLI knob.
@@ -118,6 +118,23 @@ def odq_weight_qparams(
     return symmetric_qparams(max(scale_src, 1e-8), total_bits)
 
 
+def _image_gemm(cache: ColumnCache, high: bool, wmat: np.ndarray,
+                mm: GemmFn) -> np.ndarray:
+    """``cols @ wmat`` (``cols_high`` when ``high``), ``(rows, C_out)``.
+
+    One image's columns are unfolded and multiplied at a time, each GEMM
+    writing its rows of the one preallocated result, so the whole-batch
+    column matrix is never built.  At batch 1 this is a single GEMM.
+    Every entry is an exact integer (module docstring of
+    :mod:`repro.core.colcache`), so splitting the rows changes no bit.
+    """
+    acc = np.empty((cache.rows, wmat.shape[1]), dtype=wmat.dtype)
+    step = cache.oh * cache.ow
+    for i in range(cache.n):
+        mm(cache.image_cols(i, high), wmat, out=acc[i * step : (i + 1) * step])
+    return acc
+
+
 def _partial_2d(cache: ColumnCache, packed: PackedConvWeights, scale: float,
                 bias2d: np.ndarray | None, mm: GemmFn) -> np.ndarray:
     """Dequantized predictor partial (plus bias) in (rows, C_out) layout.
@@ -126,7 +143,7 @@ def _partial_2d(cache: ColumnCache, packed: PackedConvWeights, scale: float,
     in place in the one float64 result: the shift is exact in either
     dtype and each later step rounds as the out-of-place expression does.
     """
-    hh2d = mm(cache.cols_high, packed.wmat_high)
+    hh2d = _image_gemm(cache, True, packed.wmat_high, mm)
     partial2d = np.multiply(hh2d, float(1 << packed.high_shift), dtype=np.float64)
     partial2d += (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
     partial2d *= scale
@@ -135,15 +152,15 @@ def _partial_2d(cache: ColumnCache, packed: PackedConvWeights, scale: float,
     return partial2d
 
 
-def _full_2d(cache: ColumnCache, cols: np.ndarray, packed: PackedConvWeights,
-             scale: float, bias2d: np.ndarray | None, mm: GemmFn) -> np.ndarray:
-    """Exact INT4 static-quantization output of ``cols`` rows, (rows, C_out).
+def _full_2d(cache: ColumnCache, acc: np.ndarray, packed: PackedConvWeights,
+             scale: float, bias2d: np.ndarray | None) -> np.ndarray:
+    """Exact INT4 static-quantization output from the ``cols @ wmat_full``
+    accumulator ``acc``, (rows, C_out).
 
-    The dense path passes every column row; the sparse path passes only
-    the gathered sensitive rows, so its result is the dense expression
+    The dense path passes every row's accumulator; the sparse path only
+    the gathered sensitive rows', so its result is the dense expression
     restricted to those rows and bit-exact by construction.
     """
-    acc = mm(cols, packed.wmat_full)
     full2d = np.subtract(acc, cache.qp_a.zero_point * packed.w_sum,
                          dtype=np.float64)
     full2d *= scale
@@ -232,18 +249,16 @@ def odq_conv(
         if path == "auto":
             path = "sparse" if n_sense_rows <= crossover * cache.rows else "dense"
         if path == "dense":
-            full = cache.to_nchw(
-                _full_2d(cache, cache.cols, packed, scale, bias2d, mm)
-            )
+            acc = _image_gemm(cache, False, packed.wmat_full, mm)
+            full = cache.to_nchw(_full_2d(cache, acc, packed, scale, bias2d))
             out = np.where(mask.mask, full, partial)
             rows_computed = cache.rows
         else:
             full = None
             out2d = partial2d.copy() if keep_partial else partial2d
             if n_sense_rows:
-                full_rows = _full_2d(
-                    cache, cache.full_rows(sel), packed, scale, bias2d, mm_rows
-                )
+                acc = mm_rows(cache.full_rows(sel), packed.wmat_full)
+                full_rows = _full_2d(cache, acc, packed, scale, bias2d)
                 # The mask's selected rows, (R, C_out): by_channel's
                 # positions are in row order.
                 mask_rows = mask.by_channel[:, sel].T
@@ -314,6 +329,8 @@ def odq_mixed_conv(
     :class:`~repro.core.colcache.ColumnCache` under ``"cache"`` (and the
     packed weights under ``"packed"``) so callers (the QAT backward
     pass) can reuse the column matrix instead of re-unfolding the input.
+    Its whole-batch :attr:`~repro.core.colcache.ColumnCache.cols` is then
+    built before the kernel runs, which reads its per-image row slices.
     """
     if exec_path not in EXEC_PATHS:
         raise ValueError(f"unknown exec_path {exec_path!r}; expected one of {EXEC_PATHS}")
@@ -322,10 +339,13 @@ def odq_mixed_conv(
     kernel = weight.shape[2]
 
     def prep(inp: np.ndarray) -> ColumnCache:
-        return ColumnCache(
+        cache = ColumnCache(
             inp, qp_a, kernel, stride, padding, low_bits, compensate_low_bits,
             dtype=packed.dtype, a_max=packed.a_max,
         )
+        if with_cache:
+            cache.cols  # unfold once; the kernel slices it per image
+        return cache
 
     r = odq_conv(
         x, prep, packed, qp_w.scale,
@@ -363,6 +383,15 @@ class ODQConvExecutor(ConvExecutor):
     sparse_crossover:
         ``auto`` picks the sparse path when the fraction of output rows
         containing at least one sensitive channel is at or below this.
+    keep_masks:
+        Keep each call's mask on ``record.last_mask``.  The serving
+        registry (:func:`~repro.core.schemes.build_scheme`) turns it off;
+        the counts the census reads are kept either way.
+
+    After :meth:`freeze` the executor holds ``qp_w`` and one
+    :class:`~repro.core.colcache.PackedConvWeights`, and nothing else
+    derived from the weights: the packed operands are what every call
+    multiplies, and clones of the engine share them.
     """
 
     def __init__(
@@ -417,9 +446,6 @@ class ODQConvExecutor(ConvExecutor):
         self._std_acc: list[float] = []
 
         self.qp_w: QParams | None = None
-        self._qw: np.ndarray | None = None       # full INT4 weights
-        self._qw_high: np.ndarray | None = None  # W_HBS plane
-        self._w_sum: np.ndarray | None = None    # zero-point correction
         self._packed: PackedConvWeights | None = None  # GEMM operands
 
     # -- calibration -------------------------------------------------------------
@@ -441,13 +467,10 @@ class ODQConvExecutor(ConvExecutor):
         self.qp_w = odq_weight_qparams(w, self.total_bits, self.weight_percentile)
         if self.threshold_mode == "scaled":
             self.output_std = float(np.mean(self._std_acc)) if self._std_acc else 1.0
-        self._qw = quantize(w, self.qp_w)
         self._packed = pack_conv_weights(
-            self._qw, self.qp_w, self.low_bits, a_max=2**self.total_bits - 1
+            quantize(w, self.qp_w), self.qp_w, self.low_bits,
+            a_max=2**self.total_bits - 1,
         )
-        # Tensor-shaped twins kept for introspection and the mask dumps.
-        self._qw_high = split_planes(self._qw, self.qp_w, self.low_bits).high
-        self._w_sum = self._qw.sum(axis=(1, 2, 3)).reshape(1, -1, 1, 1)
         super().freeze()
 
     def _qp_a_for(self, x: np.ndarray) -> QParams:
@@ -503,8 +526,9 @@ class ODQConvExecutor(ConvExecutor):
         # Standalone callers never read e_low, so skip measuring it.
         cache = self._build_cache(x, compensate=False)
         scale = cache.qp_a.scale * self.qp_w.scale
+        acc = _image_gemm(cache, False, self._packed.wmat_full, pgemm)
         return cache.to_nchw(
-            _full_2d(cache, cache.cols, self._packed, scale, self._bias2d(), pgemm)
+            _full_2d(cache, acc, self._packed, scale, self._bias2d())
         )
 
     def run(self, x: np.ndarray) -> np.ndarray:

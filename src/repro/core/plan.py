@@ -281,8 +281,8 @@ class PlannedConvStep(PlanStep):
     same :func:`~repro.core.odq.odq_conv` kernel as ``executor.run``, with
     the packed operands and 2-D bias frozen here, one
     :class:`~repro.core.gemm.GemmDispatch` for the predictor and dense
-    GEMMs (both are ``(rows, ckk) @ (ckk, c_out)``), and the sparse
-    gathered-row GEMM issued through the run's shared
+    GEMMs (both run one image at a time, ``(OH*OW, ckk) @ (ckk, c_out)``),
+    and the sparse gathered-row GEMM issued through the run's shared
     :class:`~repro.core.gemm.DispatchGroup`.  Otherwise (non-ODQ scheme,
     subclass, or an instance-level ``run`` monkeypatch) the step calls
     ``executor.run`` — still profiting from the flat tape around it.
@@ -311,7 +311,7 @@ class PlannedConvStep(PlanStep):
         self.crossover = ex.sparse_crossover
         ckk, c_out = self.packed.wmat_full.shape
         self.dispatch = gemm.plan_gemm(
-            self.rows, ckk, c_out, self.packed.wmat_full.dtype
+            oh * ow, ckk, c_out, self.packed.wmat_full.dtype
         )
 
     def valid(self) -> bool:

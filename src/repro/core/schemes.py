@@ -89,6 +89,7 @@ def drq_scheme(
             region=region,
             target_sensitive=target_sensitive,
             threshold=threshold,
+            keep_masks=False,  # no caller reads record.extra["last_input_mask"]
         ),
         params=params,
     )
@@ -136,7 +137,8 @@ def odq_scheme(
 #: lowercase registry name to ``(threshold, **extras) -> Scheme``;
 #: builders that do not use a threshold (or an extra knob) simply ignore
 #: it.  ``exec_path`` is the ODQ result-generation path
-#: (``auto|dense|sparse``, see :mod:`repro.core.odq`).
+#: (``auto|dense|sparse``, see :mod:`repro.core.odq`).  Served records
+#: keep no masks: the census reads only the counts.
 _NAMED_SCHEMES: dict[str, Callable[..., Scheme]] = {
     "fp32": lambda _t, **_kw: fp32_scheme(),
     "int16": lambda _t, **_kw: static_scheme(16),
@@ -144,7 +146,9 @@ _NAMED_SCHEMES: dict[str, Callable[..., Scheme]] = {
     "int4": lambda _t, **_kw: static_scheme(4),
     "drq84": lambda t, **_kw: drq_scheme(8, 4, threshold=t),
     "drq42": lambda t, **_kw: drq_scheme(4, 2, threshold=t),
-    "odq": lambda t, exec_path="auto", **_kw: odq_scheme(t, exec_path=exec_path),
+    "odq": lambda t, exec_path="auto", **_kw: odq_scheme(
+        t, exec_path=exec_path, keep_masks=False
+    ),
 }
 
 #: Threshold used when a thresholded scheme is requested without one
@@ -167,7 +171,8 @@ def build_scheme(
     ``threshold`` applies to the thresholded schemes (``odq``, ``drq*``);
     when omitted, :data:`DEFAULT_SERVE_THRESHOLD` is used.  ``exec_path``
     selects the ODQ result-generation path (``auto|dense|sparse``;
-    ignored by every other scheme).  Unknown names raise ``KeyError``
+    ignored by every other scheme).  ODQ and DRQ executors are built
+    with ``keep_masks=False``.  Unknown names raise ``KeyError``
     listing the registry.
     """
     key = name.lower().replace("-", "").replace("_", "")

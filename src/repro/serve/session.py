@@ -152,8 +152,9 @@ class ModelSession:
         self.model.eval()
 
         calib = dataset.x_train[: config.calib_images]
-        #: A held-out batch kept around for benchmarks and smoke tests.
-        self.sample_inputs: np.ndarray = dataset.x_test[: min(16, len(dataset.x_test))]
+        #: A held-out batch kept around for benchmarks and smoke tests; a
+        #: copy, so the rest of the test split is freed with the dataset.
+        self.sample_inputs: np.ndarray = dataset.x_test[:16].copy()
 
         self.engine = QuantizedInferenceEngine(self.model, self.scheme)
         self.engine.calibrate(calib)

@@ -450,6 +450,23 @@ def run(x, w):
         assert "float32" in f.message
         assert "pgemm" in f.message
 
+    def test_per_image_columns_are_an_exact_source(self):
+        src = GEMM_IMPORT + """
+def run(cache, w):
+    a = cache.image_cols(0, True) / 2
+    return pgemm(a, w)
+"""
+        findings = scan({"src/repro/demo/flow.py": src})
+        assert rules_of(findings) == ["DTY110"]
+        assert "division" in findings[0].message
+
+    def test_per_image_columns_into_gemm_are_clean(self):
+        src = GEMM_IMPORT + """
+def run(cache, w):
+    return pgemm(cache.image_cols(0), w)
+"""
+        assert scan({"src/repro/demo/flow.py": src}) == []
+
     def test_narrow_dtype_keyword_reaching_gemm_fires(self):
         src = GEMM_IMPORT + """
 def run(x, w):

@@ -89,6 +89,9 @@ def test_nhwc_prep_matches_nchw_reference(case):
     np.testing.assert_array_equal(
         gathered @ packed.wmat_full, cols[sel] @ wmat_full)
     np.testing.assert_array_equal(gathered, cache.cols[sel])
+    for high, whole in ((True, cache.cols_high), (False, cache.cols)):
+        per_image = [cache.image_cols(i, high) for i in range(n)]
+        np.testing.assert_array_equal(np.concatenate(per_image), whole)
     np.testing.assert_array_equal(cache.cols @ packed.wmat_full, cols @ wmat_full)
     assert cache.e_low == e_low
     np.testing.assert_array_equal(

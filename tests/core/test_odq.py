@@ -49,7 +49,7 @@ class TestEq3Semantics:
         qp_a = ex._qp_a_for(x)
         q = quantize(x, qp_a)
         deq_x = (q - qp_a.zero_point) * qp_a.scale
-        deq_w = ex._qw * ex.qp_w.scale
+        deq_w = quantize(ex.conv.weight.data, ex.qp_w) * ex.qp_w.scale
         ref = float_conv2d(deq_x, deq_w, ex.conv.bias.data, 1, 1)
         # Padded positions must behave as real zeros (zero-point padding).
         np.testing.assert_allclose(ex.full_result(x), ref, atol=1e-9)
@@ -70,11 +70,12 @@ class TestEq3Semantics:
         # Assemble the executor-side cross terms via explicit convolutions.
         from repro.core.base import int_conv2d
 
-        hl = int_conv2d(a_planes.high, split_planes(ex._qw, ex.qp_w, 2).low,
+        qw = quantize(ex.conv.weight.data, ex.qp_w)
+        hl = int_conv2d(a_planes.high, split_planes(qw, ex.qp_w, 2).low,
                         ex.conv.stride, 0) << 2
-        lh = int_conv2d(a_planes.low, split_planes(ex._qw, ex.qp_w, 2).high,
+        lh = int_conv2d(a_planes.low, split_planes(qw, ex.qp_w, 2).high,
                         ex.conv.stride, 0) << 2
-        ll = int_conv2d(a_planes.low, split_planes(ex._qw, ex.qp_w, 2).low,
+        ll = int_conv2d(a_planes.low, split_planes(qw, ex.qp_w, 2).low,
                         ex.conv.stride, 0)
         remaining = (hl + lh + ll) * qp_a.scale * ex.qp_w.scale
 

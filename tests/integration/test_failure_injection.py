@@ -5,6 +5,7 @@ reject loudly (never silently corrupt).
 import numpy as np
 import pytest
 
+from repro.core.colcache import weights_from_gemm_layout
 from repro.core.drq import DRQConvExecutor
 from repro.core.odq import ODQConvExecutor
 from repro.core.static_quant import StaticQuantConvExecutor
@@ -71,7 +72,8 @@ class TestDegenerateWeights:
         ex.freeze()
         assert np.isfinite(ex.run(x)).all()
         # The quantized outlier saturates at the grid edge.
-        assert ex._qw.max() == ex.qp_w.qmax
+        qw = weights_from_gemm_layout(ex._packed.wmat_full, conv.weight.data.shape)
+        assert qw.max() == ex.qp_w.qmax
 
 
 class TestMalformedPipelineUse:

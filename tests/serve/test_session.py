@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.colcache import weights_from_gemm_layout
+from repro.core.schemes import DEFAULT_SERVE_THRESHOLD, build_scheme, odq_scheme
+from repro.quant.bitsplit import split_planes
+from repro.quant.uniform import quantize
 from repro.serve.config import ServeConfig
-from repro.core.schemes import DEFAULT_SERVE_THRESHOLD
 from repro.serve.server import InferenceServer
 from repro.serve.session import ModelSession
 
@@ -30,7 +33,26 @@ class TestModelSession:
         assert session.stats.packed_layers == len(session.engine.executors)
         # ODQ executors carry the pre-packed W_HBS bit plane after freeze.
         for ex in session.engine.executors.values():
-            assert ex._qw_high is not None
+            assert ex._packed.wmat_high is not None
+            qw = quantize(ex.conv.weight.data, ex.qp_w)
+            high = weights_from_gemm_layout(ex._packed.wmat_high, qw.shape)
+            assert np.array_equal(high, split_planes(qw, ex.qp_w, ex.low_bits).high)
+
+    def test_served_records_keep_no_masks(self, session):
+        batch = np.resize(session.sample_inputs, (8, *session.input_shape))
+        session.engine.infer(batch)
+        for rec in session.engine.records.values():
+            assert rec.last_mask is None
+            assert "last_input_mask" not in rec.extra
+            assert rec.outputs_total > 0
+        conv = next(iter(session.engine.executors.values())).conv
+        assert odq_scheme(0.3).make_executor(conv, "C").keep_masks
+        for name in ("odq", "drq84", "drq42"):
+            assert not build_scheme(name).make_executor(conv, "C").keep_masks
+
+    def test_sample_inputs_do_not_pin_the_test_split(self, session):
+        assert session.sample_inputs.base is None
+        assert len(session.sample_inputs) == 16
 
     def test_describe_is_json_safe(self, session):
         import json
