@@ -116,18 +116,35 @@ class LayerRecord:
         return 1.0 - self.sensitive_fraction
 
     def add_mask(self, mask: SensitivityMask) -> None:
-        self.sensitive_total += mask.sensitive_count
-        counts = mask.per_channel_counts()
+        self.add_counts(mask.per_channel_counts(), mask.sensitive_count)
+        self.last_mask = mask
+
+    def add_counts(self, counts: np.ndarray, sensitive: int) -> None:
+        """Count one call's per-channel sensitive outputs (``sensitive``
+        is their sum) without keeping its mask."""
+        self.sensitive_total += sensitive
         if self.per_channel_sensitive is None:
             self.per_channel_sensitive = counts
         else:
             self.per_channel_sensitive = self.per_channel_sensitive + counts
-        self.last_mask = mask
+
+    def add_outputs(self, n: int, out_h: int, out_w: int) -> None:
+        """Count one call on ``n`` images with ``out_h x out_w`` outputs."""
+        self.out_h, self.out_w = out_h, out_w
+        self.images += n
+        self.outputs_total += n * out_h * out_w * self.info.out_channels
 
     def add_phase(self, phase: int, ns: int) -> None:
         """Count one call of ``phase`` that took ``ns`` nanoseconds."""
         self.phase_ns[phase] += ns
         self.phase_calls[phase] += 1
+
+    def add_phases(self, ns: tuple) -> None:
+        """Count one call of each of the first ``len(ns)`` phases."""
+        phase_ns, phase_calls = self.phase_ns, self.phase_calls
+        for phase, t in enumerate(ns):
+            phase_ns[phase] += t
+            phase_calls[phase] += 1
 
 
 class ConvExecutor:
@@ -171,10 +188,7 @@ class ConvExecutor:
 
     def _note_shapes(self, x: np.ndarray) -> tuple[int, int]:
         oh, ow = self.info.output_hw(x.shape[2], x.shape[3])
-        self.record.out_h, self.record.out_w = oh, ow
-        n = x.shape[0]
-        self.record.images += n
-        self.record.outputs_total += n * oh * ow * self.info.out_channels
+        self.record.add_outputs(x.shape[0], oh, ow)
         return oh, ow
 
 

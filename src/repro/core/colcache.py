@@ -56,6 +56,7 @@ dequantizing epilogue stay float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,46 @@ def pack_conv_weights(
     )
 
 
+class ConvGeometry:
+    """The shape arithmetic of one conv layer on one ``(C, H, W)`` input.
+
+    Everything :class:`ColumnCache` derives from the input shape except
+    the batch size: output size, padded buffer shape, the interior slice
+    and the receptive-field anchors :meth:`ColumnCache.full_rows`
+    gathers by.  A layer sees one input shape per model, so its executor
+    computes this once and passes it to every call's cache.  Immutable,
+    so engine clones share it.
+    """
+
+    __slots__ = ("in_chw", "oh", "ow", "step", "pad_hwc", "interior",
+                 "border", "width", "image_pixels", "anchors", "last_anchor")
+
+    def __init__(self, in_chw: tuple, kernel: int, stride: int, padding: int) -> None:
+        c, h, w = in_chw
+        self.in_chw = tuple(in_chw)
+        self.oh = oh = conv_output_size(h, kernel, stride, padding)
+        self.ow = ow = conv_output_size(w, kernel, stride, padding)
+        self.step = oh * ow
+        p = padding
+        hp, wp = h + 2 * p, w + 2 * p
+        self.pad_hwc = (hp, wp, c)
+        self.interior = (slice(None), slice(p, p + h), slice(p, p + w))
+        self.border = (hp * wp - h * w) * c  #: border cells per image
+        self.width = kernel * kernel * c
+        self.image_pixels = hp * wp
+        #: Top-left padded pixel of each output position of one image,
+        #: in raster order.
+        anchors = (
+            np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
+        ).reshape(-1)
+        anchors.flags.writeable = False
+        self.anchors = anchors
+        self.last_anchor = int(anchors[-1])
+
+    def __deepcopy__(self, memo: dict) -> "ConvGeometry":
+        return self
+
+
 class ColumnCache:
     """One layer call's quantize/pad/unfold work, done exactly once.
 
@@ -173,7 +214,9 @@ class ColumnCache:
     ``dtype`` is the GEMM operand dtype of the paired
     :class:`PackedConvWeights` and ``a_max`` the activation magnitude it
     was chosen for; a ``qp_a`` whose integer range exceeds ``a_max``
-    raises ``ValueError``.
+    raises ``ValueError``.  ``geom`` is the layer's :class:`ConvGeometry`
+    for ``x``'s ``(C, H, W)``; without one (or with one of another shape)
+    the cache derives its own.
 
     Construction is the one NHWC pass of the module docstring: it fills
     :attr:`q_pad`, the zero-point-padded ``(N, H+2p, W+2p, C)`` buffer in
@@ -212,6 +255,7 @@ class ColumnCache:
         *,
         dtype: np.dtype | type = np.float64,
         a_max: int | None = None,
+        geom: ConvGeometry | None = None,
     ) -> None:
         qmin, qmax = qp_a.qmin, qp_a.qmax
         if a_max is not None and max(-qmin, qmax) > a_max:
@@ -219,37 +263,50 @@ class ColumnCache:
                 f"activation range [{qmin}, {qmax}] exceeds the "
                 f"a_max={a_max} the GEMM dtype was chosen for"
             )
+        if geom is None or geom.in_chw != x.shape[1:]:
+            geom = ConvGeometry(x.shape[1:], kernel, stride, padding)
         self.qp_a = qp_a
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
         self.low_bits = low_bits
+        self.geom = geom
 
-        n, c, h, w = x.shape
+        n = x.shape[0]
         self.n = n
-        self.oh = conv_output_size(h, kernel, stride, padding)
-        self.ow = conv_output_size(w, kernel, stride, padding)
-        self.rows = n * self.oh * self.ow
+        self.oh = geom.oh
+        self.ow = geom.ow
+        self.rows = n * geom.step
 
-        # quantize()'s ops on a contiguous NHWC temporary (in-place ops
-        # run faster there than on the padded buffer's strided interior).
+        # quantize()'s ops (round is rint) on an NHWC temporary.
         zp = float(qp_a.zero_point)
-        t = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1) / qp_a.scale
-        np.round(t, out=t)
+        t = np.divide(x.transpose(0, 2, 3, 1), qp_a.scale, dtype=np.float64)
+        np.rint(t, out=t)
         t += zp
-        np.clip(t, qmin, qmax, out=t)
-        p = padding
-        q_pad = np.full((n, h + 2 * p, w + 2 * p, c), zp, dtype=dtype)
-        q_pad[:, p : p + h, p : p + w] = t
+        np.minimum(t, float(qmax), out=t)
+        np.maximum(t, float(qmin), out=t)
+        q_pad = np.empty((n, *geom.pad_hwc), dtype=dtype)
+        if padding:
+            q_pad.fill(zp)
+        q_pad[geom.interior] = t
         self.q_pad = q_pad
 
         self._q_high_pad: np.ndarray | None = None
         self.e_low = 0.0
         if compensate_low_bits and t.size:
-            # sum(q_l) = sum(q) - 2**n * sum(q_h) over the interior: sums
-            # of small integers, exact when accumulated in float64.
-            q_high = self.q_high_pad[:, p : p + h, p : p + w]
-            low_sum = t.sum() - q_high.sum(dtype=np.float64) * float(1 << low_bits)
+            # sum(q_l) = sum(q) - 2**n * sum(q_h) over the interior.  Each
+            # is a sum of small integers, exact in float64, and in the
+            # buffer's float32 too while the total stays within 2**24 (the
+            # same bound as exact_gemm_dtype).  The interior's high-plane
+            # sum is the contiguous whole-buffer sum less the border's,
+            # whose cells all hold trunc(zp * 2**-n).
+            q_high = self.q_high_pad
+            h_max = max(-qmin, qmax) >> low_bits
+            wide = q_high.dtype != np.float64 and q_high.size * h_max > FLOAT32_EXACT_INT
+            high_sum = float(np.add.reduce(q_high, None, np.float64 if wide else None))
+            if padding:
+                high_sum -= n * geom.border * math.trunc(zp * 2.0 ** -low_bits)
+            low_sum = np.add.reduce(t, None) - high_sum * float(1 << low_bits)
             self.e_low = float(low_sum) / t.size
 
         self._cols: np.ndarray | None = None
@@ -264,8 +321,9 @@ class ColumnCache:
             self._q_high_pad = q_high
         return self._q_high_pad
 
-    def _patches(self, buf: np.ndarray) -> np.ndarray:
-        """``(N, OH, OW, K, K, C)`` read-only strided view of ``buf``.
+    def _patches(self, buf: np.ndarray, image: int | None = None) -> np.ndarray:
+        """``(N, OH, OW, K, K, C)`` read-only strided view of ``buf``, or
+        image ``image``'s ``(OH, OW, K, K, C)`` part of it.
 
         Built with the ``ndarray`` constructor over ``buf``'s memory
         (``buf`` is a C-contiguous buffer this cache allocated), which
@@ -273,10 +331,12 @@ class ColumnCache:
         """
         sn, sh, sw, sc = buf.strides
         k, s = self.kernel, self.stride
-        view = np.ndarray(
-            (self.n, self.oh, self.ow, k, k, buf.shape[3]), buf.dtype, buf,
-            strides=(sn, sh * s, sw * s, sh, sw, sc),
-        )
+        shape = (self.oh, self.ow, k, k, buf.shape[3])
+        strides = (sh * s, sw * s, sh, sw, sc)
+        if image is None:
+            view = np.ndarray((self.n, *shape), buf.dtype, buf, strides=(sn, *strides))
+        else:
+            view = np.ndarray(shape, buf.dtype, buf, image * sn, strides)
         view.flags.writeable = False
         return view
 
@@ -306,7 +366,7 @@ class ColumnCache:
         if built is not None:
             return built[i * step : (i + 1) * step]
         buf = self.q_high_pad if high else self.q_pad
-        return self._patches(buf)[i].reshape(step, -1)
+        return self._patches(buf, i).reshape(step, -1)
 
     # -- sparse row gathering -----------------------------------------------
 
@@ -322,10 +382,29 @@ class ColumnCache:
         if self._cols is not None:
             return self._cols[rows]
         rows = np.asarray(rows, dtype=np.intp)
-        ni, rem = np.divmod(rows, self.oh * self.ow)
-        oi, oj = np.divmod(rem, self.ow)
-        width = self.kernel * self.kernel * self.q_pad.shape[3]
-        return self._patches(self.q_pad)[ni, oi, oj].reshape(rows.size, width)
+        g = self.geom
+        if self.n == 1:
+            anchors = g.anchors[rows]
+        else:
+            image, pos = np.divmod(rows, g.step)
+            anchors = g.anchors[pos]
+            anchors += image * g.image_pixels
+        return self._fields(self.q_pad)[anchors].reshape(rows.size, g.width)
+
+    def _fields(self, buf: np.ndarray) -> np.ndarray:
+        """``(anchors, K, K*C)`` read-only view of ``buf``: entry ``a`` is
+        the receptive field whose top-left pixel is pixel ``a`` of the
+        flattened ``(N, H+2p, W+2p)`` grid, so one index array gathers
+        whole receptive fields (``(kw, c)`` runs are contiguous)."""
+        g = self.geom
+        sw, sc = buf.strides[2:]
+        k = self.kernel
+        view = np.ndarray(
+            ((self.n - 1) * g.image_pixels + g.last_anchor + 1, k, k * buf.shape[3]),
+            buf.dtype, buf, strides=(sw, buf.strides[1], sc),
+        )
+        view.flags.writeable = False
+        return view
 
     # -- layout helpers ------------------------------------------------------
 
@@ -343,4 +422,5 @@ __all__ = [
     "pack_conv_weights",
     "weights_from_gemm_layout",
     "ColumnCache",
+    "ConvGeometry",
 ]

@@ -104,12 +104,17 @@ class GemmDispatch:
     def run(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``a @ b`` for the bound shape (any other shape goes to pgemm)."""
-        if a.shape == (self.m, self.k) and b.shape == (self.k, self.n) and \
-                a.dtype == self.dtype and b.dtype == self.dtype:
-            with _stats_lock:
-                _stats.planned_calls += 1
-        return pgemm(a, b, out)
+        """``a @ b``, counted as :func:`pgemm` counts it and, for the
+        bound shape, as a planned call too (one lock acquisition)."""
+        planned = (
+            a.shape == (self.m, self.k) and b.shape == (self.k, self.n)
+            and a.dtype == self.dtype and b.dtype == self.dtype
+        )
+        with _stats_lock:
+            _stats.calls += 1
+            _stats.direct_calls += 1
+            _stats.planned_calls += planned
+        return np.matmul(a, b, out=out)
 
 
 def plan_gemm(m: int, k: int, n: int, dtype: np.dtype | type) -> GemmDispatch:

@@ -60,13 +60,18 @@ all call it with their own operands and GEMM callables.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from repro.config import ODQ_LOW_BITS, ODQ_TOTAL_BITS
 from repro.core.base import ConvExecutor
-from repro.core.colcache import ColumnCache, PackedConvWeights, pack_conv_weights
+from repro.core.colcache import (
+    ColumnCache,
+    ConvGeometry,
+    PackedConvWeights,
+    pack_conv_weights,
+)
 # The launcher of benchmarks/e2e rebinds this module's ``pgemm`` to time
 # GEMMs, so the kernel resolves it at call time, not as a default value.
 from repro.core.gemm import pgemm
@@ -128,6 +133,8 @@ def _image_gemm(cache: ColumnCache, high: bool, wmat: np.ndarray,
     Every entry is an exact integer (module docstring of
     :mod:`repro.core.colcache`), so splitting the rows changes no bit.
     """
+    if cache.n == 1:
+        return mm(cache.image_cols(0, high), wmat)
     acc = np.empty((cache.rows, wmat.shape[1]), dtype=wmat.dtype)
     step = cache.oh * cache.ow
     for i in range(cache.n):
@@ -169,15 +176,47 @@ def _full_2d(cache: ColumnCache, acc: np.ndarray, packed: PackedConvWeights,
     return full2d
 
 
-class ConvResult(NamedTuple):
-    """Everything one :func:`odq_conv` call produced."""
+class ConvResult:
+    """Everything one :func:`odq_conv` call produced.
 
-    out: np.ndarray             #: full result where sensitive, partial elsewhere
-    mask: SensitivityMask
-    partial: np.ndarray         #: predictor partial (see ``keep_partial``)
-    full: np.ndarray | None     #: dense full result; None when sparse ran
-    path: str                   #: the result-generation path that ran
-    cache: ColumnCache
+    ``out`` (NCHW) is the full result where sensitive and the partial
+    elsewhere, ``path`` the result-generation path that ran and
+    ``cache`` the call's :class:`ColumnCache`.  The other results are
+    NCHW views built on first read, since serving reads only ``out``:
+    ``partial`` is the predictor partial (see ``keep_partial``),
+    ``full`` the dense full result (None when sparse ran) and ``mask``
+    the call's :class:`SensitivityMask`.
+    """
+
+    __slots__ = ("out", "path", "cache", "_partial2d", "_full2d", "_sense2d",
+                 "_threshold", "_mask")
+
+    def __init__(self, out, path, cache, partial2d, full2d, sense2d,
+                 threshold) -> None:
+        self.out = out
+        self.path = path
+        self.cache = cache
+        self._partial2d = partial2d
+        self._full2d = full2d
+        self._sense2d = sense2d
+        self._threshold = threshold
+        self._mask: SensitivityMask | None = None
+
+    @property
+    def partial(self) -> np.ndarray:
+        return self.cache.to_nchw(self._partial2d)
+
+    @property
+    def full(self) -> np.ndarray | None:
+        return None if self._full2d is None else self.cache.to_nchw(self._full2d)
+
+    @property
+    def mask(self) -> SensitivityMask:
+        if self._mask is None:
+            self._mask = SensitivityMask(
+                self.cache.to_nchw(self._sense2d), self._threshold
+            )
+        return self._mask
 
 
 def odq_conv(
@@ -219,75 +258,78 @@ def odq_conv(
     call's phase durations (``quantize_ns`` … ``full_result_ns``); a
     no-op while tracing is off.
     """
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
     mm = pgemm if gemm is None else gemm
     mm_rows = pgemm if gemm_rows is None else gemm_rows
-    name = None if ex is None else ex.info.name
-    if ex is not None:
-        ex._note_shapes(x)
     ckk, c_out = packed.wmat_full.shape
 
-    with trace.span("odq.run", layer=name) as sp:
+    with trace.span("odq.run", layer=None if ex is None else ex.info.name) as sp:
         t0 = perf_counter_ns()
         cache = prep(x)
         t1 = perf_counter_ns()
         scale = cache.qp_a.scale * w_scale
         partial2d = _partial_2d(cache, packed, scale, bias2d, mm)
-        partial = cache.to_nchw(partial2d)
         t2 = perf_counter_ns()
         if ex is not None and ex.collect_partials:
-            flat = np.abs(partial).reshape(-1)
+            flat = np.abs(cache.to_nchw(partial2d)).reshape(-1)
             step = max(1, flat.size // 4096)
             ex.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
-        mask = mask_from_magnitude(partial, threshold)
-        # Row = one spatial output position; a row is computed by the
-        # sparse path when *any* of its channels is sensitive.
-        sel = np.flatnonzero(mask.sensitive_positions())
+        # The predictor rule (mask_from_magnitude) in the GEMM's
+        # (rows, C_out) layout, where a row is one spatial output
+        # position: the sparse path computes a row when *any* of its
+        # channels is sensitive.  Reductions run over the channel-major
+        # copy (SensitivityMask.by_channel), whose rows are long and
+        # contiguous; over (rows, C_out) their inner loops are C_out long.
+        sense2d = np.abs(partial2d) > threshold
+        by_channel = np.ascontiguousarray(sense2d.T)
+        sel = np.logical_or.reduce(by_channel, 0).nonzero()[0]
         n_sense_rows = sel.size
         t3 = perf_counter_ns()
 
+        rows = cache.rows
         path = exec_path
         if path == "auto":
-            path = "sparse" if n_sense_rows <= crossover * cache.rows else "dense"
+            path = "sparse" if n_sense_rows <= crossover * rows else "dense"
         if path == "dense":
             acc = _image_gemm(cache, False, packed.wmat_full, mm)
-            full = cache.to_nchw(_full_2d(cache, acc, packed, scale, bias2d))
-            out = np.where(mask.mask, full, partial)
-            rows_computed = cache.rows
+            full2d = _full_2d(cache, acc, packed, scale, bias2d)
+            out2d = np.where(sense2d, full2d, partial2d)
+            rows_computed = rows
         else:
-            full = None
+            full2d = None
             out2d = partial2d.copy() if keep_partial else partial2d
             if n_sense_rows:
                 acc = mm_rows(cache.full_rows(sel), packed.wmat_full)
                 full_rows = _full_2d(cache, acc, packed, scale, bias2d)
-                # The mask's selected rows, (R, C_out): by_channel's
-                # positions are in row order.
-                mask_rows = mask.by_channel[:, sel].T
-                out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-            out = cache.to_nchw(out2d)
+                out2d[sel] = np.where(sense2d[sel], full_rows, out2d[sel])
             rows_computed = n_sense_rows
         t4 = perf_counter_ns()
 
+        result = ConvResult(cache.to_nchw(out2d), path, cache, partial2d, full2d,
+                            sense2d, threshold)
         phase_ns = (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         if ex is not None:
+            counts = np.add.reduce(by_channel, 1, np.int64)
+            n_sense = int(np.add.reduce(counts))
             rec = ex.record
-            rec.add_mask(mask)
-            if not ex.keep_masks:
-                rec.last_mask = None
+            rec.add_outputs(cache.n, cache.oh, cache.ow)
+            rec.add_counts(counts, n_sense)
+            rec.last_mask = result.mask if ex.keep_masks else None
             rec.path_calls[path] += 1
-            rec.rows_total += cache.rows
+            rec.rows_total += rows
             rec.rows_computed += rows_computed
             rec.flops_full += rows_computed * ckk * c_out
-            rec.flops_full_dense += cache.rows * ckk * c_out
+            rec.flops_full_dense += rows * ckk * c_out
             # One output costs C_in*K*K MACs: the predictor's INT2 stream
             # runs over every output, the executor's remaining cross
             # terms only over the sensitive ones.
-            rec.macs["pred_int2"] += partial.size * ckk
-            rec.macs["exec_int4"] += mask.sensitive_count * ckk
-            for phase, ns in enumerate(phase_ns):
-                rec.add_phase(phase, ns)
+            rec.macs["pred_int2"] += partial2d.size * ckk
+            rec.macs["exec_int4"] += n_sense * ckk
+            rec.add_phases(phase_ns)
         sp.set(path=path, quantize_ns=phase_ns[0], predict_partial_ns=phase_ns[1],
                mask_ns=phase_ns[2], full_result_ns=phase_ns[3])
-    return ConvResult(out, mask, partial, full, path, cache)
+    return result
 
 
 def odq_mixed_conv(
@@ -447,6 +489,7 @@ class ODQConvExecutor(ConvExecutor):
 
         self.qp_w: QParams | None = None
         self._packed: PackedConvWeights | None = None  # GEMM operands
+        self._geom: ConvGeometry | None = None  # last call's input geometry
 
     # -- calibration -------------------------------------------------------------
 
@@ -475,7 +518,12 @@ class ODQConvExecutor(ConvExecutor):
 
     def _qp_a_for(self, x: np.ndarray) -> QParams:
         """Activation qparams from the batch's range (runtime quantization)."""
-        return affine_qparams(float(x.min()), float(x.max()), self.total_bits)
+        # x.min() / x.max() without numpy's Python-level method wrappers.
+        return affine_qparams(
+            float(np.minimum.reduce(x, None)),
+            float(np.maximum.reduce(x, None)),
+            self.total_bits,
+        )
 
     @property
     def effective_threshold(self) -> float:
@@ -489,18 +537,26 @@ class ODQConvExecutor(ConvExecutor):
 
     def _build_cache(self, x: np.ndarray,
                      compensate: bool | None = None) -> ColumnCache:
-        """Quantize → pad → im2col exactly once for this layer call."""
-        return ColumnCache(
+        """Quantize → pad → im2col exactly once for this layer call.
+
+        The geometry of the previous call is reused while the input's
+        ``(C, H, W)`` stays the same (one shape per layer in a model).
+        """
+        conv = self.conv
+        cache = ColumnCache(
             x,
             self._qp_a_for(x),
-            self.conv.kernel_size,
-            self.conv.stride,
-            self.conv.padding,
+            conv.kernel_size,
+            conv.stride,
+            conv.padding,
             self.low_bits,
             self.compensate_low_bits if compensate is None else compensate,
             dtype=self._packed.dtype,
             a_max=self._packed.a_max,
+            geom=self._geom,
         )
+        self._geom = cache.geom
+        return cache
 
     def _bias2d(self) -> np.ndarray | None:
         return None if self.conv.bias is None else self.conv.bias.data.reshape(1, -1)

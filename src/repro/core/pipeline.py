@@ -142,9 +142,17 @@ class QuantizedInferenceEngine:
         # Locks are not deep-copyable; everything else (model, executors,
         # frozen qparams, records) is plain data.  The memo ensures the
         # clone's InstrumentedConvs point at the clone, not the original.
+        # The quantized convs' float weights and biases are not copied:
+        # the clone gets read-only views of them (see clone()).
         cls = self.__class__
         clone = cls.__new__(cls)
         memo[id(self)] = clone
+        for ex in self.executors.values():
+            for param in (ex.conv.weight, ex.conv.bias):
+                if param is not None:
+                    view = param.data.view()
+                    view.flags.writeable = False
+                    memo[id(param.data)] = view
         for key, value in self.__dict__.items():
             if key == "_lock":
                 setattr(clone, key, threading.RLock())
@@ -163,6 +171,14 @@ class QuantizedInferenceEngine:
         Calibration state is carried over, so a calibrated engine clones
         into a ready-to-``infer`` engine — this is how the serving worker
         pool confines one engine per worker thread without recalibrating.
+
+        Immutable state is shared, not copied: the frozen executors'
+        packed operands, and the float weights and biases of the
+        quantized convs, which the clone holds as read-only views of this
+        engine's arrays (a frozen ODQ executor never reads them; freezing
+        the clone again reads them without writing).  Writing to a
+        clone's conv weights raises; write to this engine's instead,
+        which every clone sees.
         """
         with self._lock:
             return copy.deepcopy(self)
@@ -189,6 +205,17 @@ class QuantizedInferenceEngine:
         swap_modules(self.model, transform)
         if not self.executors:
             raise ValueError("model contains no Conv2d layers to quantize")
+        self._list_modules()
+
+    def _list_modules(self) -> None:
+        """List every module of the model once (at install and restore),
+        so :meth:`_eval` is a flat pass, not ``model.eval()``'s walk."""
+        self._modules = [m for _, m in self.model.named_modules()]
+
+    def _eval(self) -> None:
+        """``model.eval()`` over the modules listed at install."""
+        for m in self._modules:
+            m.training = False
 
     def restore(self) -> None:
         """Put the original Conv2d modules back."""
@@ -201,6 +228,7 @@ class QuantizedInferenceEngine:
         swap_modules(self.model, transform)
         self.executors.clear()
         self._plans.clear()
+        self._list_modules()
 
     # -- calibration ---------------------------------------------------------------
 
@@ -258,7 +286,7 @@ class QuantizedInferenceEngine:
         with self._lock:
             if self.mode != "run":
                 raise RuntimeError("engine not calibrated; call calibrate() first")
-            self.model.eval()
+            self._eval()
             with no_grad():
                 if trace.enabled():
                     with trace.span(
@@ -311,7 +339,7 @@ class QuantizedInferenceEngine:
         with self._lock:
             if self.mode != "run":
                 raise RuntimeError("engine not calibrated; call calibrate() first")
-            self.model.eval()
+            self._eval()
             with no_grad():
                 return self.model(Tensor(x)).data
 

@@ -438,13 +438,16 @@ class Tensor:
         """Zero-pad the channel dim of an NCHW tensor (ResNet option-A shortcut)."""
         if extra == 0:
             return self
-        pad_width = [(0, 0), (0, extra), (0, 0), (0, 0)]
-        c = self.data.shape[1]
+        n, c, h, w = self.data.shape
+        # What np.pad's constant mode returns, without its Python-level
+        # pad-width normalisation.
+        out = np.zeros((n, c + extra, h, w), dtype=self.data.dtype)
+        out[:, :c] = self.data
 
         def backward(g: Array) -> None:
             self._accumulate(np.asarray(g)[:, :c])
 
-        return Tensor.from_op(np.pad(self.data, pad_width), (self,), backward, "pad_channels")
+        return Tensor.from_op(out, (self,), backward, "pad_channels")
 
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]

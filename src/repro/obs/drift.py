@@ -13,12 +13,14 @@ workers take from each batch they run: it keeps an EWMA of each layer's
 dispatch calls), compares them against a baseline (the serving
 session's warm-up ratios on held-out images), and
 
-* publishes ``drift_sensitive_ratio:<layer>`` / ``drift_delta:<layer>``
-  / ``drift_sparse_frac:<layer>`` / ``drift_alert:<layer>`` gauges on
-  the serving ``/metrics`` registry, and
 * logs a single ``drift_exceeded`` warning per band crossing (re-armed
   when the layer returns inside the band), so a drifting layer does not
-  flood the logs.
+  flood the logs, and
+* publishes ``drift_sensitive_ratio:<layer>`` / ``drift_delta:<layer>``
+  / ``drift_sparse_frac:<layer>`` / ``drift_alert:<layer>`` gauges on
+  the serving ``/metrics`` registry.  The EWMAs and the warning update
+  with every batch; the gauges are set from them by a registry
+  collector when ``/metrics`` or ``/stats`` is read.
 
 Thresholds are configured via ``ServeConfig.drift_band``.
 """
@@ -54,8 +56,9 @@ class DriftMonitor:
     band:
         Alert threshold on ``|ewma - baseline|``.
     metrics:
-        Optional ``MetricsRegistry``; gauges are published per layer on
-        every observation.
+        Optional ``MetricsRegistry``; the monitor adds :meth:`publish` to
+        its collectors, so the per-layer gauges are set whenever it is
+        read.
     """
 
     def __init__(self, baseline: dict[str, float] | None = None,
@@ -76,6 +79,8 @@ class DriftMonitor:
         self._alerting: set[str] = set()
         self._lock = threading.Lock()
         self.observations = 0
+        if metrics is not None:
+            metrics.add_collector(self.publish)
 
     # -- feeding -------------------------------------------------------------
 
@@ -88,67 +93,70 @@ class DriftMonitor:
         numbers, so a sustained shift moves the EWMA at rate ``alpha``
         whatever the uptime.  Thread-safe.
         """
-        updates: list[tuple[str, float, float, float | None, bool, bool]] = []
+        crossings: list[tuple[str, float, float]] = []
+        alpha, band = self.alpha, self.band
         with self._lock:
             self.observations += 1
+            baseline, ewmas, sparses = self._baseline, self._ewma, self._sparse
+            alerting = self._alerting
             for layer, sample in samples.items():
                 ratio = sample.get("sensitive_ratio")
                 if ratio is None:
                     continue
                 ratio = float(ratio)
-                base = self._baseline.setdefault(layer, ratio)
-                prev = self._ewma.get(layer)
+                base = baseline.setdefault(layer, ratio)
+                prev = ewmas.get(layer)
                 ewma = ratio if prev is None else (
-                    self.alpha * ratio + (1.0 - self.alpha) * prev
+                    alpha * ratio + (1.0 - alpha) * prev
                 )
-                self._ewma[layer] = ewma
+                ewmas[layer] = ewma
                 sparse = _sparse_fraction(sample.get("path_calls"))
                 if sparse is not None:
-                    prev_s = self._sparse.get(layer)
+                    prev_s = sparses.get(layer)
                     sparse = sparse if prev_s is None else (
-                        self.alpha * sparse + (1.0 - self.alpha) * prev_s
+                        alpha * sparse + (1.0 - alpha) * prev_s
                     )
-                    self._sparse[layer] = sparse
-                exceeded = abs(ewma - base) > self.band
-                crossed = exceeded and layer not in self._alerting
-                if exceeded:
-                    self._alerting.add(layer)
+                    sparses[layer] = sparse
+                if abs(ewma - base) > band:
+                    if layer not in alerting:
+                        alerting.add(layer)
+                        crossings.append((layer, ewma, base))
                 else:
-                    self._alerting.discard(layer)
-                updates.append((layer, ewma, base, sparse, exceeded, crossed))
-        for layer, ewma, base, sparse, exceeded, crossed in updates:
-            self._publish(layer, ewma, base, sparse, exceeded)
-            if crossed:
-                _log.warning(
-                    "drift_exceeded",
-                    layer=layer,
-                    ewma=round(ewma, 6),
-                    baseline=round(base, 6),
-                    delta=round(ewma - base, 6),
-                    band=self.band,
-                )
+                    alerting.discard(layer)
+        for layer, ewma, base in crossings:
+            _log.warning(
+                "drift_exceeded",
+                layer=layer,
+                ewma=round(ewma, 6),
+                baseline=round(base, 6),
+                delta=round(ewma - base, 6),
+                band=self.band,
+            )
 
-    def _publish(self, layer: str, ewma: float, base: float,
-                 sparse: float | None, exceeded: bool) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.gauge(
-            f"drift_sensitive_ratio:{layer}",
-            "EWMA of the live per-layer sensitive-output ratio",
-        ).set(ewma)
-        self.metrics.gauge(
-            f"drift_delta:{layer}",
-            "EWMA sensitive ratio minus its warm-up baseline",
-        ).set(ewma - base)
-        self.metrics.gauge(
-            f"drift_alert:{layer}",
-            "1 when |drift_delta| exceeds the configured band",
-        ).set(1.0 if exceeded else 0.0)
-        if sparse is not None:
-            self.metrics.gauge(
-                f"drift_sparse_frac:{layer}",
-                "EWMA fraction of exec-path dispatches taking a sparse path",
-            ).set(sparse)
+    def publish(self, metrics) -> None:
+        """Set every observed layer's drift gauges on ``metrics``.
+
+        The collector the monitor adds to its registry: it runs when
+        ``/metrics`` or ``/stats`` is read, not per batch.
+        """
+        for layer, st in self.snapshot().items():
+            metrics.gauge(
+                f"drift_sensitive_ratio:{layer}",
+                "EWMA of the live per-layer sensitive-output ratio",
+            ).set(st["ewma"])
+            metrics.gauge(
+                f"drift_delta:{layer}",
+                "EWMA sensitive ratio minus its warm-up baseline",
+            ).set(st["delta"])
+            metrics.gauge(
+                f"drift_alert:{layer}",
+                "1 when |drift_delta| exceeds the configured band",
+            ).set(1.0 if st["alert"] else 0.0)
+            if st["sparse_frac"] is not None:
+                metrics.gauge(
+                    f"drift_sparse_frac:{layer}",
+                    "EWMA fraction of exec-path dispatches taking a sparse path",
+                ).set(st["sparse_frac"])
 
     # -- inspection ----------------------------------------------------------
 
@@ -181,10 +189,14 @@ def _sparse_fraction(path_calls: dict | None) -> float | None:
     """
     if not path_calls:
         return None
-    total = sum(int(c) for c in path_calls.values())
+    total = sparse = 0
+    for path, calls in path_calls.items():
+        calls = int(calls)
+        total += calls
+        if path != "dense":
+            sparse += calls
     if total <= 0:
         return None
-    sparse = sum(int(c) for p, c in path_calls.items() if p != "dense")
     return sparse / total
 
 

@@ -14,6 +14,7 @@ value ``scale * (q - zero_point)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class QParams:
     signed: bool
 
     def __post_init__(self):
-        if self.scale <= 0 or not np.isfinite(self.scale):
+        if self.scale <= 0 or not math.isfinite(self.scale):
             raise ValueError(f"scale must be positive/finite, got {self.scale}")
         lo, hi = int_range(self.bits, self.signed)
         if not lo <= self.zero_point <= hi:
@@ -74,7 +75,7 @@ def affine_qparams(lo: float, hi: float, bits: int) -> QParams:
     the standard practice for activation quantization.
     """
     lo, hi = float(min(lo, 0.0)), float(max(hi, 0.0))
-    if hi - lo <= 0 or not np.isfinite(hi - lo):
+    if hi - lo <= 0 or not math.isfinite(hi - lo):
         hi = lo + 1e-8
     levels = int_range(bits, signed=False)[1]
     scale = (hi - lo) / levels

@@ -40,6 +40,7 @@ def conv_cases(draw):
         "padding": padding,
         "transposed": draw(st.booleans()),
         "signed": draw(st.booleans()),
+        "narrow": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**31 - 1)),
     }
 
@@ -76,8 +77,18 @@ def test_nhwc_prep_matches_nchw_reference(case):
     qp_w = odq_weight_qparams(wt, 4)
     qw = quantize(wt, qp_w)
 
-    cache = ColumnCache(x, qp_a, k, s, p, LOW_BITS, compensate_low_bits=True)
-    packed = pack_conv_weights(qw, qp_w, LOW_BITS)
+    if case["narrow"]:
+        # The serving operands: float32 buffers, bounded by the qparams.
+        a_max = max(-qp_a.qmin, qp_a.qmax)
+        kw = {"dtype": np.float32, "a_max": a_max}
+    else:
+        a_max, kw = None, {}
+    # A geometry derived for another input shape is not reused.
+    other = ColumnCache(np.zeros((1, c, h + 1, w)), qp_a, k, s, p, LOW_BITS)
+    cache = ColumnCache(x, qp_a, k, s, p, LOW_BITS, compensate_low_bits=True,
+                        geom=other.geom, **kw)
+    assert cache.geom is not other.geom
+    packed = pack_conv_weights(qw, qp_w, LOW_BITS, a_max=a_max)
     cols, cols_high, wmat_full, wmat_high, e_low = _reference(
         x, qp_a, qw, qp_w, k, s, p)
 

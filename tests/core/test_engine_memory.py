@@ -117,6 +117,60 @@ class TestFrozenExecutor:
             assert not arr.flags.writeable
 
 
+class TestCloneSharesFloatWeights:
+    """A clone holds read-only views of the quantized convs' float
+    weights and biases instead of copies: a frozen ODQ executor never
+    reads them, and re-freezing only reads them."""
+
+    def test_clone_allocates_no_weight_copy(self):
+        rng = np.random.default_rng(0)
+        engine = QuantizedInferenceEngine(
+            build_model("resnet20", rng=rng), odq_scheme(0.3)
+        )
+        engine.calibrate(rng.uniform(0.0, 1.0, size=(2, 3, 16, 16)))
+        try:
+            weights = sum(ex.conv.weight.data.nbytes for ex in engine.executors.values())
+            assert weights > 2_000_000  # full-width resnet20: ~2.1 MB float64
+            tracemalloc.start()
+            try:
+                clone = engine.clone()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 500_000, f"clone allocated {peak / 1e6:.2f} MB"
+            for name, ex in engine.executors.items():
+                copy_w = clone.executors[name].conv.weight.data
+                assert np.shares_memory(copy_w, ex.conv.weight.data)
+        finally:
+            engine.restore()
+
+    def test_writing_a_clone_weight_raises(self):
+        engine = _resnet20_engine()
+        try:
+            clone = engine.clone()
+            conv = next(iter(clone.executors.values())).conv
+            with pytest.raises(ValueError, match="read-only"):
+                conv.weight.data[0, 0, 0, 0] = 1.0
+            # The source keeps its own, writable arrays.
+            assert next(iter(engine.executors.values())).conv.weight.data.flags.writeable
+        finally:
+            engine.restore()
+
+    @pytest.mark.parametrize("use_plan", [True, False])
+    def test_refrozen_clone_infers_equal(self, use_plan):
+        engine = _resnet20_engine()
+        try:
+            x = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 3, 16, 16))
+            clone = engine.clone()
+            clone.use_plan = engine.use_plan = use_plan
+            clone.calibrate(x)
+            for name, ex in engine.executors.items():
+                assert clone.executors[name]._packed is not ex._packed
+            assert np.array_equal(clone.infer(x), engine.infer(x))
+        finally:
+            engine.restore()
+
+
 class TestConvCallMemory:
     @pytest.mark.parametrize("threshold, path", [(0.3, "dense"), (2.0, "sparse")])
     def test_traced_peak_of_one_call(self, threshold, path):

@@ -84,7 +84,8 @@ class TestCachedCounts:
 
     @given(_masks())
     def test_row_gather_matches_nchw_index(self, mask):
-        """``by_channel[:, sel].T`` is the sparse scatter's mask gather."""
+        """The channel-major copy's columns at the sensitive positions
+        are the NCHW mask's rows there."""
         m = SensitivityMask(mask, 0.0)
         n, _, h, w = mask.shape
         sel = np.flatnonzero(m.sensitive_positions())
