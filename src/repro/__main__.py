@@ -135,9 +135,9 @@ def _cmd_plan(args) -> int:
         d = plan.describe()
         shape = "x".join(str(v) for v in d["input_shape"])
         console(
-            f"\nplan input={shape} dtype={d['input_dtype']} mode={d['mode']} "
-            f"steps={d['steps']} fast_convs={d['fast_conv_steps']}/"
-            f"{d['conv_steps']} sparse_batched={d['sparse_batched_layers']}"
+            f"\nplan input={shape} dtype={d['input_dtype']} "
+            f"fast_convs={d['fast_conv_steps']}/{d['conv_steps']} "
+            f"sparse_batched={d['sparse_batched_layers']}"
         )
         rows = []
         for i, step in enumerate(d["step_list"]):

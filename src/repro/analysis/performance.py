@@ -55,10 +55,6 @@ class ModelComparison:
         ref = self.runs["INT16"].cycles
         return {name: run.cycles / ref for name, run in self.runs.items()}
 
-    def normalized_energies(self) -> dict[str, float]:
-        ref = self.runs["INT16"].energy.total_pj
-        return {name: run.energy.total_pj / ref for name, run in self.runs.items()}
-
     def odq_speedup_vs(self, other: str) -> float:
         """Fractional execution-time reduction of ODQ vs another scheme."""
         t_odq = self.runs["ODQ"].cycles

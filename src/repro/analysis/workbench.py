@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import DEFAULT_SEED, ExperimentScale, scale_from_env
-from repro.core.schemes import odq_scheme
 from repro.core.odq_qat import finetune_odq
 from repro.core.threshold import adaptive_threshold_search
 from repro.data.synthetic import (
@@ -183,9 +182,6 @@ class Workbench:
             twin.eval()
             self._odq_models[key] = twin
         return self._odq_models[key]
-
-    def odq_scheme_for(self, model_name: str, dataset_name: str = "cifar10"):
-        return odq_scheme(self.odq_threshold(model_name, dataset_name))
 
     def calibration_batch(self, dataset_name: str = "cifar10") -> np.ndarray:
         ds = self.dataset(dataset_name)

@@ -88,11 +88,11 @@ def check_external_plan_state_mutation(ctx: FileContext) -> Iterator[Finding]:
     severity=Severity.ERROR,
     summary="instance-level forward shadowing outside the plan tracer",
     invariant=(
-        "plan._trace_leaves instruments leaves by installing an instance "
-        "`forward` (shadowing the class method) and refuses to touch "
-        "modules that already carry one; any other code installing "
-        "instance forwards silently opts those modules out of plan "
-        "compilation and risks leaking the shadow past its scope."
+        "plan._trace_convs instruments the instrumented convs by "
+        "installing an instance `forward` (shadowing the class method) "
+        "and refuses to touch convs that already carry one; any other "
+        "code installing instance forwards silently opts those convs out "
+        "of plan compilation and risks leaking the shadow past its scope."
     ),
     exempt_paths=("repro/core/plan.py",),  # the tracer itself
 )

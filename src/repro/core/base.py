@@ -115,10 +115,6 @@ class LayerRecord:
     def insensitive_fraction(self) -> float:
         return 1.0 - self.sensitive_fraction
 
-    def add_mask(self, mask: SensitivityMask) -> None:
-        self.add_counts(mask.per_channel_counts(), mask.sensitive_count)
-        self.last_mask = mask
-
     def add_counts(self, counts: np.ndarray, sensitive: int) -> None:
         """Count one call's per-channel sensitive outputs (``sensitive``
         is their sum) without keeping its mask."""

@@ -77,14 +77,6 @@ class SensitivityMask:
         """
         return self._channel_counts
 
-    def sensitive_positions(self) -> np.ndarray:
-        """Per output position (``n, h, w`` order): is any channel sensitive?"""
-        return self.by_channel.any(axis=0)
-
-    def per_image_channel_counts(self) -> np.ndarray:
-        """Shape (N, C) sensitive counts: one OFM workload row per image."""
-        return self.mask.sum(axis=(2, 3)).astype(np.int64)
-
 
 def mask_from_magnitude(values: np.ndarray, threshold: float) -> SensitivityMask:
     """Build a mask by thresholding ``|values|`` (the paper's predictor rule)."""

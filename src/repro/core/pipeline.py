@@ -43,9 +43,9 @@ class InstrumentedConv(Module):
             self.executor.record.extra["last_input"] = x.data
         calibrating = self.engine.mode == "calibrate"
         if not calibrating:
-            # Graph-mode plans: the model walks its own forward, but each
-            # conv routes through its plan step, which runs the executor's
-            # own kernel over the plan's frozen operands.
+            # Plans: the model walks its own forward, but each conv
+            # routes through its plan step, which runs the executor's own
+            # kernel over the plan's frozen operands.
             plan = self.engine._active_plan
             if plan is not None:
                 step = plan.conv_steps.get(self.executor.info.name)

@@ -79,43 +79,74 @@ def conv2d(
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in)."""
-    out = x @ weight.transpose()  # repro: noqa[DTY101] — Tensor.__matmul__ routes through core.gemm.pgemm
-    if bias is not None:
-        out = out + bias
-    return out
+    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in).
+
+    One taped op whose forward is one GEMM; its backward gives the
+    gradients a ``transpose -> matmul -> add`` chain of Tensor ops gives.
+    """
+    if x.ndim != 2 or weight.ndim != 2:
+        raise ValueError("matmul supports 2-D operands only")
+    out_mat = _pgemm(x.data, weight.data.T)
+    out_data = out_mat if bias is None else out_mat + bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        if bias is not None:
+            bias._accumulate(g)
+        # A bias of wider dtype widens g; the GEMM's gradient keeps the
+        # GEMM's own dtype.
+        gmat = np.asarray(g, dtype=out_mat.dtype)
+        if x.requires_grad:
+            x._accumulate(_pgemm(gmat, weight.data))
+        if weight.requires_grad:
+            weight._accumulate(_pgemm(x.data.T, gmat).T)
+
+    return Tensor.from_op(out_data, parents, backward, "linear")
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling over NCHW input.  Defaults to non-overlapping windows."""
+    """Max pooling over NCHW input.  Defaults to non-overlapping windows.
+
+    Each output is its window's first maximum in row-major order (the
+    element ``argmax`` picks): ties, including ``-0.0`` vs ``0.0``, keep
+    the earlier element and the first NaN wins.  The backward scatter
+    indices are built only when the backward runs.
+    """
     stride = stride or kernel
     n, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
+    xd = x.data
 
-    sn, sc, sh, sw = x.data.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    ).reshape(n, c, oh, ow, kernel * kernel)
-    arg = patches.argmax(axis=-1)
-    out_data = np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
-
-    # Precompute flat scatter indices for the backward pass.
-    ki, kj = np.divmod(arg, kernel)
-    ii = np.arange(oh)[None, None, :, None] * stride + ki
-    jj = np.arange(ow)[None, None, None, :] * stride + kj
-    nn_idx = np.arange(n)[:, None, None, None]
-    cc_idx = np.arange(c)[None, :, None, None]
+    # Visit the window offsets in row-major order and take a candidate
+    # only when it beats the running best: strictly greater, or a NaN
+    # over a non-NaN.
+    hs, ws = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    best = xd[:, :, :hs:stride, :ws:stride].copy()
+    for i in range(kernel):
+        for j in range(kernel):
+            if i or j:
+                v = xd[:, :, i:i + hs:stride, j:j + ws:stride]
+                np.copyto(best, v, where=~((v <= best) | (best != best)))
 
     def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
+        sn, sc, sh, sw = xd.strides
+        patches = np.lib.stride_tricks.as_strided(
+            xd,
+            shape=(n, c, oh, ow, kernel, kernel),
+            strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+            writeable=False,
+        ).reshape(n, c, oh, ow, kernel * kernel)
+        ki, kj = np.divmod(patches.argmax(axis=-1), kernel)
+        ii = np.arange(oh)[None, None, :, None] * stride + ki
+        jj = np.arange(ow)[None, None, None, :] * stride + kj
+        nn_idx = np.arange(n)[:, None, None, None]
+        cc_idx = np.arange(c)[None, :, None, None]
+        gx = np.zeros_like(xd)
         np.add.at(gx, (nn_idx, cc_idx, ii, jj), np.asarray(g))
         x._accumulate(gx)
 
-    return Tensor.from_op(out_data, (x,), backward, "max_pool2d")
+    return Tensor.from_op(best, (x,), backward, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:

@@ -194,7 +194,7 @@ class ProfileResult:
     plan: dict = field(default_factory=dict)
 
     def render_plan(self) -> str:
-        """Compiled-plan table: steps and specialization traffic."""
+        """Compiled-plan table: conv steps and specialization traffic."""
         plan = self.plan
         if not plan:
             return ""
@@ -208,8 +208,6 @@ class ProfileResult:
         rows = [
             [
                 "x".join(str(d) for d in p.get("input_shape", [])),
-                p.get("mode", "?"),
-                p.get("steps", 0),
                 f"{p.get('fast_conv_steps', 0)}/{p.get('conv_steps', 0)}",
                 p.get("sparse_batched_layers", 0),
                 p.get("executions", 0),
@@ -219,7 +217,7 @@ class ProfileResult:
         if not rows:
             return head
         table = ascii_table(
-            ["input", "mode", "steps", "fast convs", "sparse-batched", "runs"],
+            ["input", "fast convs", "sparse-batched", "runs"],
             rows,
             title="compiled inference plans (repro.core.plan)",
         )

@@ -56,12 +56,11 @@ class TestLayerRecord:
         m1 = SensitivityMask(np.zeros((1, 4, 2, 2), dtype=bool), 0.5)
         m2 = SensitivityMask(np.ones((1, 4, 2, 2), dtype=bool), 0.5)
         rec.outputs_total = 32
-        rec.add_mask(m1)
-        rec.add_mask(m2)
+        for m in (m1, m2):
+            rec.add_counts(m.per_channel_counts(), m.sensitive_count)
         assert rec.sensitive_total == 16
         assert rec.sensitive_fraction == 0.5
         np.testing.assert_array_equal(rec.per_channel_sensitive, [4, 4, 4, 4])
-        assert rec.last_mask is m2
 
     def test_empty_record_fractions(self):
         rec = LayerRecord(info=ConvLayerInfo("C1", 1, 1, 1, 1, 0))

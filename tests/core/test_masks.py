@@ -20,7 +20,6 @@ class TestSensitivityMask:
         mask[:, 1] = True  # channel 1 fully sensitive in both images
         m = SensitivityMask(mask, 0.0)
         np.testing.assert_array_equal(m.per_channel_counts(), [0, 8, 0])
-        np.testing.assert_array_equal(m.per_image_channel_counts(), [[0, 4, 0], [0, 4, 0]])
 
     def test_wrong_ndim_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +87,7 @@ class TestCachedCounts:
         are the NCHW mask's rows there."""
         m = SensitivityMask(mask, 0.0)
         n, _, h, w = mask.shape
-        sel = np.flatnonzero(m.sensitive_positions())
+        sel = np.flatnonzero(m.by_channel.any(axis=0))
         ni, rem = np.divmod(sel, h * w)
         oi, oj = np.divmod(rem, w)
         np.testing.assert_array_equal(m.by_channel[:, sel].T, mask[ni, :, oi, oj])

@@ -1,13 +1,12 @@
 """Compiled inference plans (:mod:`repro.core.plan`).
 
-The tentpole claim: planned execution is *bit-identical* (``==``, not
-approx) to the legacy per-call path — across conv geometry (stride,
-padding, bias), every exec path, and changing batch shapes — because
-every plan step mirrors the exact expression tree the Tensor ops
-evaluate.  Also pinned here: shape-change recompiles, staleness
-invalidation, LRU bounding of the per-engine plan cache, clone
-isolation, and a compile that holds no more memory than an unplanned
-inference.
+Planned execution is *bit-identical* (``==``, not approx) to the
+unplanned path — across conv geometry (stride, padding, bias), every
+exec path, and changing batch shapes — and runs every conv through its
+``PlannedConvStep`` once per ``infer``.  Also pinned here: shape-change
+recompiles, staleness invalidation, LRU bounding of the per-engine plan
+cache, clone isolation, and a compile that holds no more memory than an
+unplanned inference.
 """
 
 import tracemalloc
@@ -18,9 +17,10 @@ import pytest
 from repro.core.base import PHASES
 from repro.core.odq import ODQConvExecutor
 from repro.core.pipeline import QuantizedInferenceEngine
-from repro.core.plan import MaxPoolStep, PlannedConvStep
+from repro.core.plan import PlannedConvStep
 from repro.core.schemes import odq_scheme
 from repro.models import build_model
+from repro.nn import functional as F
 from repro.nn.layers import (
     Conv2d,
     Flatten,
@@ -114,7 +114,6 @@ class TestPlannedBitExactness:
             again = engine.infer(x)
             assert np.array_equal(again, ref)
             plans = engine.plan_stats()["plans"]
-            assert plans and plans[0]["mode"] == "flat"
             assert plans[0]["fast_conv_steps"] == plans[0]["conv_steps"] == 2
             assert step_runs == list(engine.executors)
         finally:
@@ -205,10 +204,11 @@ class TestPlannedBitExactness:
         finally:
             engine.restore()
 
-    def test_graph_mode_residual_model(self, trained_resnet, calib_batch):
-        """Residual adds break the flat-chain identity check; the plan
-        falls back to graph mode (model drives, conv steps pre-bound) and
-        must stay bit-identical."""
+    def test_residual_model_runs_every_conv_step(
+        self, trained_resnet, calib_batch, monkeypatch
+    ):
+        """A residual model (adds, shortcut convs) stays bit-identical,
+        and a planned run calls every conv's step exactly once."""
         model, _ = trained_resnet
         engine = QuantizedInferenceEngine(model, odq_scheme(0.5))
         try:
@@ -216,17 +216,18 @@ class TestPlannedBitExactness:
             x = calib_batch[:4]
             out, ref = _planned_vs_unplanned(engine, x)
             assert np.array_equal(out, ref)
-            plans = engine.plan_stats()["plans"]
-            assert plans and plans[0]["mode"] == "graph"
+            step_runs = _count_step_runs(monkeypatch)
+            assert np.array_equal(engine.infer(x), ref)
+            assert sorted(step_runs) == sorted(engine.executors)
         finally:
             engine.restore()
 
 
 @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 3)])
 def test_maxpool_step_picks_the_argmax_element(kernel, stride):
-    """The plan's max-pool returns the element the Tensor op's
-    first-argmax gather returns, bit for bit: -0.0/0.0 ties keep the
-    earlier element and the first NaN wins."""
+    """``F.max_pool2d``, which planned and unplanned runs share, returns
+    each window's first-argmax element, bit for bit: -0.0/0.0 ties keep
+    the earlier element and the first NaN wins."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 9, 9))
     x = x * (x > 0)  # ReLU output: -0.0 where x < 0
@@ -238,9 +239,16 @@ def test_maxpool_step_picks_the_argmax_element(kernel, stride):
     x[1, 2, 4, 4] = np.nan
     # Conv outputs reach the pool as NCHW views of NHWC memory.
     x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    module = MaxPool2d(kernel, stride)
-    ref = module(Tensor(x)).data
-    out = MaxPoolStep(module, x.shape).run(x)
+    n, c, h, w = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    sn, sc, sh, sw = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, oh, ow, kernel, kernel),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False,
+    ).reshape(n, c, oh, ow, kernel * kernel)
+    arg = patches.argmax(axis=-1)
+    ref = np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
+    out = F.max_pool2d(Tensor(x), kernel, stride).data
     assert out.shape == ref.shape
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
@@ -310,7 +318,7 @@ class TestPlanLifecycle:
             engine.restore()
 
     def test_compile_holds_no_more_than_an_unplanned_infer(self):
-        """The compile's trace keeps each leaf's input shape, not its
+        """The compile's trace keeps each conv's input shape, not its
         arrays: the traced peak of a batch-8 compile stays within 1.5x
         that of an unplanned ``infer`` of the same batch (a residual
         model, so the trace walks the whole graph)."""

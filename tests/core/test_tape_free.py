@@ -1,15 +1,17 @@
 """Tape-free engine inference is ``==`` to the taped reference.
 
 Every engine entry point runs the model under ``no_grad``.  Pinned here
-for a flat plan (LeNet) and a graph plan (ResNet-20): the planned run,
-the unplanned run and the taped forward (``engine.model`` with grad
-mode on) give ``==`` logits and equal per-channel sensitive counts.
+on LeNet and ResNet-20: the planned run, the unplanned run and the taped
+forward (``engine.model`` with grad mode on) give ``==`` logits and
+equal per-channel sensitive counts, and the planned run calls every
+conv's ``PlannedConvStep`` once.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import QuantizedInferenceEngine
+from repro.core.plan import PlannedConvStep
 from repro.core.schemes import odq_scheme
 from repro.models import build_model
 from repro.nn import BatchNorm2d, Tensor, is_grad_enabled
@@ -50,15 +52,25 @@ def _taped(engine, x):
     return out.data
 
 
-@pytest.mark.parametrize("name, mode", [("lenet", "flat"), ("resnet20", "graph")])
-def test_planned_unplanned_and_taped_agree(name, mode):
+@pytest.mark.parametrize("name", ["lenet", "resnet20"])
+def test_planned_unplanned_and_taped_agree(name, monkeypatch):
     engine, x = _engine(name)
+    step_runs: list = []
+    original = PlannedConvStep.run
+
+    def spy(step, arr):
+        step_runs.append(step.ex.info.name)
+        return original(step, arr)
+
+    monkeypatch.setattr(PlannedConvStep, "run", spy)
     try:
         for n in (1, 3, 8):
             xb = x[:n]
             engine.use_plan = True
             engine.infer(xb)  # compiles; the runs below hit the plan
+            step_runs.clear()
             planned, planned_counts = _run(engine, engine.infer, xb)
+            assert sorted(step_runs) == sorted(engine.executors)
             engine.use_plan = False
             unplanned, unplanned_counts = _run(engine, engine.infer, xb)
             taped, taped_counts = _run(engine, lambda b: _taped(engine, b), xb)
@@ -69,7 +81,6 @@ def test_planned_unplanned_and_taped_agree(name, mode):
                 assert np.array_equal(unplanned_counts[layer], ref), layer
         stats = engine.plan_stats()
         assert stats["hits"] >= 3
-        assert {p["mode"] for p in stats["plans"]} == {mode}
         assert 0 < engine.mean_sensitive_fraction() < 1
     finally:
         engine.restore()
